@@ -88,6 +88,23 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
+def numpy_simd() -> list:
+    """Enabled AVX2/AVX-512 features of numpy's runtime CPU dispatch.
+
+    numpy's default ``np.sort`` on integers dispatches to AVX-512 (or AVX2)
+    sorting networks when the host has them, which makes the engine's
+    value sorts an order of magnitude faster; recording the keys tells a
+    slow host apart from a slow change.  Empty when numpy does not expose
+    its dispatch table (numpy < 2 keeps it elsewhere).
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # pragma: no cover - numpy < 2
+        return []
+    return sorted(k for k, on in __cpu_features__.items()
+                  if on and k.startswith(("AVX2", "AVX512")))
+
+
 def _run_once(p: int, n_per_pe: int, engine: str, seed: int = 0,
               profile: bool = False, backend=None, levels=None):
     """One timed AMS-sort run; returns (wall, SortResult, phase_wall, backend_used)."""
@@ -158,6 +175,7 @@ def run_comparison(
     """
     rows = []
     cores = _cores()
+    simd = numpy_simd()
     for p in p_list:
         compared = p <= reference_max
         ref_run = None  # the reference runs once per p, shared by all backends
@@ -182,6 +200,8 @@ def run_comparison(
                 "backend": backend_used,
                 "backend_spec": backend if backend is not None else "default",
                 "cores": cores,
+                "numpy": np.__version__,
+                "numpy_simd": simd,
                 "wall_flat_s": wall_flat,
                 "peak_rss_mb": _peak_rss_mb(),
                 "modelled_time_s": res_flat.total_time,

@@ -43,6 +43,8 @@ from repro.core.runner import run_on_machine
 from repro.dist.array import DistArray
 from repro.sim.machine import SimulatedMachine
 
+from bench_engine_scaling import numpy_simd  # same directory as this script
+
 
 def profile_run(
     p: int,
@@ -167,6 +169,8 @@ def main(argv=None) -> int:
             "algorithm": args.algorithm,
             "engine": args.engine,
             "backend": machine.backend_used,
+            "numpy": np.__version__,
+            "numpy_simd": numpy_simd(),
             "repeat": args.repeat,
             "wall_s": wall,
             "phase_wall_s": phase_wall,

@@ -70,6 +70,7 @@ from repro.dist.flatops import (
     stable_key_argsort,
     stable_two_key_argsort,
     take_ranges,
+    value_sort_kind,
 )
 from repro.dist.workspace import get_arena
 from repro.machine.counters import (
@@ -859,7 +860,7 @@ def _ams_sort_flat(
     # ------------------------------------------------------------------
     if p == 1:
         with comm.phase(PHASE_LOCAL_SORT):
-            out = np.sort(dist.values, kind="stable")
+            out = np.sort(dist.values, kind=value_sort_kind(dist.values.dtype))
             comm.charge_sort([out.size])
         return DistArray(out, dist.offsets - dist.offsets[0])
 

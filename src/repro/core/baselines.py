@@ -32,6 +32,7 @@ from repro.dist.flatops import (
     gather,
     stable_key_argsort,
     stable_two_key_argsort,
+    value_sort_kind,
 )
 from repro.machine.counters import (
     PHASE_BUCKET_PROCESSING,
@@ -238,7 +239,7 @@ def _single_level_sample_sort_flat(
     p = comm.size
     if p == 1:
         with comm.phase(PHASE_LOCAL_SORT):
-            out = np.sort(dist.values, kind="stable")
+            out = np.sort(dist.values, kind=value_sort_kind(dist.values.dtype))
             comm.charge_sort([out.size])
         return DistArray(out, dist.offsets.copy())
     sizes = dist.sizes()
@@ -346,7 +347,7 @@ def _parallel_quicksort_flat(
 
     if p == 1:
         with comm.phase(PHASE_LOCAL_SORT):
-            out = np.sort(dist.values, kind="stable")
+            out = np.sort(dist.values, kind=value_sort_kind(dist.values.dtype))
             comm.charge_sort([out.size])
         return DistArray(out, dist.offsets - dist.offsets[0])
     sizes = dist.sizes()

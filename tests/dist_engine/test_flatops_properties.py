@@ -96,6 +96,69 @@ class TestSegmentedSort:
         ) if values.size else values
         assert np.array_equal(got, expected)
 
+    # Byte oracle: ``array_equal`` treats -0.0 == +0.0 (and ignores NaN
+    # payloads), so it cannot see a sort that reorders equal-comparing
+    # values with different bytes.
+    @staticmethod
+    def _assert_bytes_match_stable_sort(values, offsets):
+        got = segmented_sort_values(values, offsets)
+        expected = np.concatenate(
+            [np.sort(values[offsets[i]:offsets[i + 1]], kind="stable")
+             for i in range(offsets.size - 1)]
+        )
+        assert got.dtype == values.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def _full_range(rng, dt, n):
+        info = np.iinfo(np.uint8 if dt is np.bool_ else dt)
+        return rng.integers(info.min, info.max, size=n, endpoint=True,
+                            dtype=info.dtype).astype(dt)
+
+    @given(
+        st.sampled_from([np.int64, np.int32, np.uint8, np.bool_]),
+        st.lists(st.integers(0, 80), min_size=1, max_size=70),
+        st.integers(0, 1000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_integer_dtypes_full_range_bytes(self, dt, sizes, seed):
+        values = self._full_range(np.random.default_rng(seed), dt, sum(sizes))
+        self._assert_bytes_match_stable_sort(values, _layout(sizes))
+
+    @given(
+        st.sampled_from([np.int64, np.int32, np.uint8, np.bool_]),
+        st.integers(1, 63),
+        st.integers(0, 1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_loop_branch_integer_dtypes(self, dt, p, seed):
+        # p < 64 with at least 4 elements per segment: the per-slice loop.
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(4, 40, size=p)
+        values = self._full_range(rng, dt, int(sizes.sum()))
+        self._assert_bytes_match_stable_sort(values, _layout(sizes))
+
+    @given(
+        st.integers(1, 130),
+        st.integers(4, 12),
+        st.booleans(),
+        st.integers(0, 1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_float_signed_zeros_and_nans_keep_stable_bytes(
+        self, p, seg_len, with_nan, seed
+    ):
+        # Covers the loop (p < 64, or NaNs present) and the padded
+        # rectangle (p >= 64 without NaNs); both must keep -0.0/+0.0 and
+        # NaN payloads in their input order.
+        rng = np.random.default_rng(seed)
+        nan_a = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes(), np.float64)
+        nan_b = np.frombuffer(np.uint64(0xFFF8000000000002).tobytes(), np.float64)
+        pool = [-0.0, 0.0, 1.5, -2.0] + ([nan_a[0], nan_b[0]] if with_nan else [])
+        sizes = rng.integers(seg_len // 2, seg_len + 1, size=p)
+        values = rng.choice(np.array(pool), size=int(sizes.sum()))
+        self._assert_bytes_match_stable_sort(values, _layout(sizes))
+
 
 class TestSplitIntervals:
     @given(

@@ -206,6 +206,64 @@ class TestWorkspaceFlatops:
         assert np.array_equal(out, ref)
         arena.recycle(out)
 
+    # Ragged layouts with zero-length segments at the front, the back, in
+    # the middle, everywhere, and no segments at all.
+    EDGE_LENGTHS = [
+        [0, 0, 3, 2],
+        [2, 3, 0, 0],
+        [1, 0, 0, 4, 0, 2],
+        [0, 0, 0],
+        [5],
+        [],
+    ]
+
+    @pytest.mark.parametrize("lengths", EDGE_LENGTHS)
+    @pytest.mark.parametrize(
+        "base_dt,addend_dt",
+        [(np.int64, np.int64), (np.int32, np.int64), (np.int32, np.uint16),
+         (np.int64, np.uint16)],
+    )
+    def test_repeat_add_edges_and_promotion(self, lengths, base_dt, addend_dt):
+        rng = np.random.default_rng(len(lengths))
+        lengths = np.asarray(lengths, dtype=np.int64)
+        base = rng.integers(-(1 << 30), 1 << 30, lengths.size).astype(base_dt)
+        addend = rng.integers(0, 1 << 16, int(lengths.sum())).astype(addend_dt)
+        ref = np.repeat(base, lengths) + addend
+        for ar in (WorkspaceArena("edges"), NullArena()):
+            out = flatops.repeat_add(base, lengths, addend, ar)
+            assert out.dtype == ref.dtype == np.result_type(base_dt, addend_dt)
+            assert out.tobytes() == ref.tobytes()
+            ar.recycle(out)
+
+    @pytest.mark.parametrize("lengths", EDGE_LENGTHS)
+    def test_segment_ids_edges(self, lengths):
+        offsets = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+        ref = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        for ar in (None, WorkspaceArena("edges"), NullArena()):
+            out = flatops.segment_ids(offsets, ar)
+            assert out.dtype == np.int64
+            assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("arena_cls", [WorkspaceArena, NullArena])
+    def test_broadcast_results_are_arena_checkouts(self, arena_cls):
+        ar = arena_cls()
+        offsets = np.array([0, 0, 4, 4, 9, 9])
+        lengths = np.diff(offsets)
+        counted = isinstance(ar, WorkspaceArena)
+        ids = flatops.segment_ids(offsets, ar)
+        assert ar.stats()["checked_out"] == int(counted)
+        keys = flatops.repeat_add(np.arange(5) * 10, lengths, ids, ar)
+        assert ar.stats()["checked_out"] == 2 * int(counted)
+        assert np.array_equal(keys, np.repeat(np.arange(5) * 10, lengths) + ids)
+        ar.recycle(ids, keys)
+        assert ar.stats()["checked_out"] == 0
+        if counted:
+            # Recycled buffers serve the next checkouts: no new misses.
+            misses = ar.stats()["misses"]
+            again = flatops.segment_ids(offsets, ar)
+            assert ar.stats()["misses"] == misses
+            ar.recycle(again)
+
     def test_no_leaks_after_an_engine_run(self, arena):
         machine = SimulatedMachine(64, seed=5)
         data = per_pe_workload("uniform", 64, 200, seed=5)
