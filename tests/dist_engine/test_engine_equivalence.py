@@ -44,17 +44,26 @@ def random_data(p, max_n, seed, high=1000):
     ]
 
 
-def assert_engines_identical(flat_fn, ref_fn, p, data, seed, spec=None, **kwargs):
-    """Run both engines on identical machines and compare all observables."""
+def assert_engines_identical(flat_fn, ref_fn, p, data, seed, spec=None,
+                             faults=None, exact_bytes=False, **kwargs):
+    """Run both engines on identical machines and compare all observables.
+
+    ``exact_bytes`` additionally requires every output array to have the
+    same raw bytes (``tobytes()``) and, when non-empty, the same dtype.
+    """
     spec = spec or laptop_like()
-    m_ref = SimulatedMachine(p, spec=spec, seed=seed)
+    m_ref = SimulatedMachine(p, spec=spec, seed=seed, faults=faults)
     out_ref = ref_fn(m_ref.world(), [d.copy() for d in data], **kwargs)
-    m_flat = SimulatedMachine(p, spec=spec, seed=seed)
+    m_flat = SimulatedMachine(p, spec=spec, seed=seed, faults=faults)
     out_flat = flat_fn(m_flat.world(), [d.copy() for d in data], **kwargs)
 
     assert len(out_ref) == len(out_flat)
     for i, (a, b) in enumerate(zip(out_ref, out_flat)):
         assert np.array_equal(a, b), f"output of PE {i} differs"
+        if exact_bytes:
+            assert a.tobytes() == b.tobytes(), f"output bytes of PE {i} differ"
+            assert a.size == 0 or a.dtype == b.dtype, \
+                f"output dtype of PE {i} differs"
     assert np.array_equal(m_ref.clock, m_flat.clock), "clocks differ"
     assert sorted(m_ref.breakdown.phases()) == sorted(m_flat.breakdown.phases())
     for phase in m_ref.breakdown.phases():
@@ -263,7 +272,68 @@ class TestRLMMultiLevelEquivalence:
         )
 
 
+BASELINE_FAULTS = "seed:3,stragglers:0.25,droprate:0.2"
+
+# (algorithm pair, keyword arguments): every schedule / merge variant the
+# single-level baselines expose.
+BASELINE_VARIANTS = {
+    "samplesort-dense": (
+        single_level_sample_sort, single_level_sample_sort_reference,
+        {"schedule": "dense"},
+    ),
+    "samplesort-sparse": (
+        single_level_sample_sort, single_level_sample_sort_reference,
+        {"schedule": "sparse"},
+    ),
+    "mergesort-merge-dense": (
+        single_level_mergesort, single_level_mergesort_reference,
+        {"merge_received": True, "schedule": "dense"},
+    ),
+    "mergesort-merge-sparse": (
+        single_level_mergesort, single_level_mergesort_reference,
+        {"merge_received": True, "schedule": "sparse"},
+    ),
+    "mergesort-resort-dense": (
+        single_level_mergesort, single_level_mergesort_reference,
+        {"merge_received": False, "schedule": "dense"},
+    ),
+    "mergesort-resort-sparse": (
+        single_level_mergesort, single_level_mergesort_reference,
+        {"merge_received": False, "schedule": "sparse"},
+    ),
+    "quicksort": (parallel_quicksort, parallel_quicksort_reference, {}),
+}
+
+BASELINE_SPECS = {"laptop": laptop_like, "supermuc": supermuc_like}
+
+
 class TestBaselineEquivalence:
+    """Single-level baselines vs their per-PE references, byte for byte.
+
+    Covers degenerate machine sizes (``p = 1``), odd and non-power-of-two
+    ``p``, both machine specs, inputs whose first and last PEs hold no data,
+    and the simulated fault plan (stragglers and dropped exchange rounds).
+    """
+
+    @pytest.mark.parametrize("faults", [None, BASELINE_FAULTS],
+                             ids=["healthy", "faults"])
+    @pytest.mark.parametrize("empty_ends", [False, True],
+                             ids=["random", "empty-ends"])
+    @pytest.mark.parametrize("spec", sorted(BASELINE_SPECS))
+    @pytest.mark.parametrize("p", [1, 2, 5, 13, 64])
+    @pytest.mark.parametrize("variant", sorted(BASELINE_VARIANTS))
+    def test_grid(self, variant, p, spec, empty_ends, faults):
+        flat_fn, ref_fn, kwargs = BASELINE_VARIANTS[variant]
+        seed = 7 * p + len(variant)
+        data = random_data(p, 120, seed)
+        if empty_ends:
+            data[0] = data[0][:0]
+            data[-1] = data[-1][:0]
+        assert_engines_identical(
+            flat_fn, ref_fn, p, data, seed, spec=BASELINE_SPECS[spec](),
+            faults=faults, exact_bytes=True, **kwargs,
+        )
+
     def test_sample_sort(self):
         data = random_data(8, 200, 0)
         assert_engines_identical(
