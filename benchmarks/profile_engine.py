@@ -14,6 +14,10 @@ and after a change and compare the per-phase seconds, e.g. ::
 
     python benchmarks/profile_engine.py --p 32768 --levels 3
     python benchmarks/profile_engine.py --p 4096 --algorithm rlm --repeat 5
+    python benchmarks/profile_engine.py --p 1024 --n-per-pe 100 --algorithm mergesort
+
+The single-level baselines (``samplesort``, ``mergesort``, ``quicksort``)
+take no configuration; ``--levels`` is ignored for them and recorded as 1.
 
 (``PYTHONPATH=src`` is optional: the script puts the in-repo ``src`` tree on
 ``sys.path`` itself.)  ``--repeat N`` reports the per-phase *median* over N
@@ -39,11 +43,15 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from repro.core.config import AMSConfig, RLMConfig
-from repro.core.runner import run_on_machine
+from repro.core.runner import ALGORITHMS, run_on_machine
 from repro.dist.array import DistArray
 from repro.sim.machine import SimulatedMachine
 
 from bench_engine_scaling import numpy_simd  # same directory as this script
+
+#: Configuration class of each multi-level algorithm; the single-level
+#: baselines run without one.
+CONFIGS = {"ams": AMSConfig, "rlm": RLMConfig}
 
 
 def profile_run(
@@ -61,10 +69,8 @@ def profile_run(
     dist = DistArray.from_sizes(data, np.full(p, n_per_pe, dtype=np.int64))
     machine = SimulatedMachine(p, seed=seed)
     machine.enable_wall_profile()
-    if algorithm == "rlm":
-        config = RLMConfig(levels=levels)
-    else:
-        config = AMSConfig(levels=levels)
+    config_cls = CONFIGS.get(algorithm)
+    config = config_cls(levels=levels) if config_cls is not None else None
     t0 = time.perf_counter()
     result = run_on_machine(
         machine, dist, algorithm=algorithm, config=config,
@@ -103,7 +109,7 @@ def main(argv=None) -> int:
     parser.add_argument("--p", type=int, default=4096, help="simulated PEs")
     parser.add_argument("--n-per-pe", type=int, default=1000)
     parser.add_argument("--levels", type=int, default=3)
-    parser.add_argument("--algorithm", default="ams", choices=("ams", "rlm"))
+    parser.add_argument("--algorithm", default="ams", choices=ALGORITHMS)
     parser.add_argument("--engine", default="flat", choices=("flat", "reference"))
     parser.add_argument("--backend", default=None,
                         help="kernel backend spec ('numpy', 'sharedmem', "
@@ -121,6 +127,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    if args.algorithm not in CONFIGS:
+        args.levels = 1
 
     # Resolve the backend to an instance up front so its per-kernel dispatch
     # counters (SharedMemBackend.stats()) can be read back after the runs —

@@ -29,26 +29,20 @@ from repro.blocks.sampling import (
 )
 from repro.blocks.multiselect import (
     multisequence_select,
-    multisequence_select_flat,
     MultiselectResult,
 )
 from repro.blocks.fast_sort import (
     fast_work_inefficient_sort,
-    fast_work_inefficient_sort_flat,
     select_splitters_by_rank,
-    select_splitters_by_rank_flat,
 )
 from repro.blocks.grouping import (
     scan_buckets_with_bound,
     optimal_bucket_grouping,
     group_sizes_from_boundaries,
-    bucket_to_group,
 )
 from repro.blocks.delivery import (
     deliver_to_groups,
-    deliver_to_groups_flat,
     DeliveryResult,
-    FlatDeliveryResult,
 )
 from repro.blocks.tiebreak import (
     make_unique_keys,
@@ -65,20 +59,14 @@ __all__ = [
     "draw_samples_flat",
     "default_oversampling",
     "multisequence_select",
-    "multisequence_select_flat",
     "MultiselectResult",
     "fast_work_inefficient_sort",
-    "fast_work_inefficient_sort_flat",
     "select_splitters_by_rank",
-    "select_splitters_by_rank_flat",
     "scan_buckets_with_bound",
     "optimal_bucket_grouping",
     "group_sizes_from_boundaries",
-    "bucket_to_group",
     "deliver_to_groups",
-    "deliver_to_groups_flat",
     "DeliveryResult",
-    "FlatDeliveryResult",
     "make_unique_keys",
     "strip_tiebreak",
     "can_encode_inline",

@@ -40,8 +40,8 @@ and in the number of messages used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from repro.dist.flatops import (
 )
 from repro.dist.workspace import get_arena
 from repro.machine.counters import PHASE_DATA_DELIVERY
-from repro.sim.exchange import ExchangeResult, FlatExchangeResult, FlatMessages
+from repro.sim.exchange import ExchangeResult
 
 
 DELIVERY_METHODS = ("naive", "randomized", "deterministic", "advanced")
@@ -456,79 +456,17 @@ def deliver_to_groups(
 
 
 # ======================================================================
-# Flat (DistArray) delivery engine
+# Flat (DistArray) assignment helpers
 # ======================================================================
 #
 # The functions below are vectorised ports of the per-PE assignment
-# algorithms above.  Pieces are given as one flat value buffer in
-# ``(PE, group)`` order plus a ``(p, r)`` size matrix; messages are built as
-# flat index arrays with :func:`repro.dist.flatops.split_intervals` instead
-# of per-piece Python loops.  Every port emits *exactly* the message stream
-# of its per-PE counterpart (same sources, destinations, payload slices and
-# per-sender ordering), which keeps costs and data byte-identical.
-
-
-@dataclass
-class FlatDeliveryResult:
-    """Outcome of a flat data-delivery step.
-
-    Attributes
-    ----------
-    received:
-        :class:`DistArray` of the data every PE holds after delivery
-        (network messages and locally kept pieces, ordered by sending PE and
-        send order — identical to the reference path's concatenation order).
-    received_msg_src / received_msg_lengths:
-        Source rank and length of every received *run* (message or kept
-        piece), in the same order as they appear inside ``received``.
-    received_msg_offsets:
-        Per-PE offsets into the run arrays (``p + 1`` entries).
-    received_sizes, group_of_rank, group_loads, group_capacity, method:
-        As in :class:`DeliveryResult`.
-    exchange:
-        The underlying :class:`FlatExchangeResult` (network statistics only;
-        locally kept pieces are excluded exactly as in the reference path).
-    """
-
-    received: DistArray
-    received_msg_src: np.ndarray
-    received_msg_lengths: np.ndarray
-    received_msg_offsets: np.ndarray
-    received_sizes: np.ndarray
-    group_of_rank: np.ndarray
-    group_loads: np.ndarray
-    group_capacity: np.ndarray
-    exchange: FlatExchangeResult
-    method: str
-
-    def received_concat(self, local_rank: int) -> np.ndarray:
-        """All data held by ``local_rank`` after delivery (a flat view)."""
-        return self.received.segment(local_rank)
-
-    def nonempty_runs_per_pe(self) -> np.ndarray:
-        """Number of non-empty received runs per PE (merge fan-in)."""
-        counts = np.zeros(self.received.p, dtype=np.int64)
-        run_pe = np.repeat(
-            np.arange(self.received.p, dtype=np.int64),
-            np.diff(self.received_msg_offsets),
-        )
-        nonempty = self.received_msg_lengths > 0
-        np.add.at(counts, run_pe[nonempty], 1)
-        return counts
-
-    def max_received_messages(self) -> int:
-        """Maximum number of network messages received by any PE."""
-        return int(self.exchange.messages_received.max(initial=0))
-
-    def max_sent_messages(self) -> int:
-        """Maximum number of network messages sent by any PE."""
-        return int(self.exchange.messages_sent.max(initial=0))
-
-
-def _piece_starts(sizes: np.ndarray) -> np.ndarray:
-    """Exclusive row-major prefix over the ``(p, r)`` piece-size matrix."""
-    flat = sizes.reshape(-1)
-    return (np.cumsum(flat) - flat).reshape(sizes.shape)
+# algorithms above, used by :func:`deliver_to_groups_batched`.  Piece sizes
+# are a ``(p, r)`` matrix with matching start offsets into one flat value
+# buffer; messages are built as flat index arrays with
+# :func:`repro.dist.flatops.split_intervals` instead of per-piece Python
+# loops.  Every port emits *exactly* the message stream of its per-PE
+# counterpart (same sources, destinations, payload slices and per-sender
+# ordering), which keeps costs and data byte-identical.
 
 
 def _flat_assign_by_prefix(
@@ -868,122 +806,6 @@ def _flat_chunks_for_group(
     return chunk_src, chunk_off, chunk_len, delegated
 
 
-def deliver_to_groups_flat(
-    comm,
-    groups,
-    piece_values: np.ndarray,
-    piece_sizes: np.ndarray,
-    method: str = "deterministic",
-    seed: int = 0,
-    oversplit: Optional[float] = None,
-    phase: str = PHASE_DATA_DELIVERY,
-    schedule: str = "sparse",
-) -> FlatDeliveryResult:
-    """Flat-engine port of :func:`deliver_to_groups`.
-
-    Parameters
-    ----------
-    comm, groups, method, seed, oversplit, phase, schedule:
-        As for :func:`deliver_to_groups`.
-    piece_values:
-        Flat buffer holding every PE's pieces in ``(PE, group)`` order:
-        piece ``(i, j)`` occupies ``piece_sizes[i, :j].sum()`` positions past
-        the start of PE ``i``'s block, elements in original order.
-    piece_sizes:
-        ``(p, r)`` int64 matrix of piece sizes.
-    """
-    if method not in DELIVERY_METHODS:
-        raise ValueError(f"unknown delivery method {method!r}; choose from {DELIVERY_METHODS}")
-    p = comm.size
-    r = len(groups)
-    if r == 0:
-        raise ValueError("need at least one target group")
-    piece_sizes = np.asarray(piece_sizes, dtype=np.int64)
-    if piece_sizes.shape != (p, r):
-        raise ValueError(f"piece_sizes must have shape ({p}, {r})")
-    piece_values = np.asarray(piece_values)
-    if piece_values.size != int(piece_sizes.sum()):
-        raise ValueError("piece_values size does not match piece_sizes")
-    group_starts, group_sizes = _group_layout(groups)
-    if int(group_sizes.sum()) != p:
-        raise ValueError("groups must partition the parent communicator")
-    starts_matrix = _piece_starts(piece_sizes)
-
-    with comm.phase(phase):
-        # Same enumeration prefix-sum collective as the reference path.
-        comm.exscan_rows(piece_sizes)
-
-        if method == "naive":
-            parts, group_loads, capacities = _flat_assign_by_prefix(
-                piece_sizes, starts_matrix, group_starts, group_sizes, None
-            )
-        elif method == "randomized":
-            orders = []
-            for j in range(r):
-                perm = FeistelPermutation(p, seed=seed * 104729 + j)
-                orders.append(np.argsort(perm.permutation_array(), kind="stable"))
-            parts, group_loads, capacities = _flat_assign_by_prefix(
-                piece_sizes, starts_matrix, group_starts, group_sizes, orders
-            )
-        else:
-            if method == "deterministic":
-                parts, group_loads, capacities = _flat_assign_deterministic(
-                    piece_sizes, starts_matrix, group_starts, group_sizes
-                )
-            else:  # advanced
-                parts, group_loads, capacities = _flat_assign_advanced(
-                    comm, piece_sizes, starts_matrix, group_starts, group_sizes,
-                    seed, oversplit, schedule,
-                )
-
-        if parts:
-            stacked = np.concatenate(parts, axis=1)
-            src, dest, start, length = stacked
-        else:
-            src = dest = start = length = np.empty(0, dtype=np.int64)
-        msgs = FlatMessages(src, dest, start, length, piece_values)
-
-        # Locally kept (self-addressed) pieces stay off the network; they are
-        # charged one by one in send order, exactly like the reference loop.
-        kept_mask = msgs.src == msgs.dest
-        spec = comm.spec
-        for k in np.flatnonzero(kept_mask):
-            comm.charge_local(int(msgs.src[k]), spec.local_move_time(int(msgs.length[k])))
-
-        exchange = comm.exchange_flat(
-            msgs.select(~kept_mask), schedule=schedule, build_inbox=False
-        )
-
-        # Assemble the received DistArray from *all* runs (network + kept):
-        # order by (receiver, source, send order) — identical to the
-        # reference's per-PE `sort(key=source)` on inbox + kept entries.
-        order = stable_two_key_argsort(msgs.dest, msgs.src, p, p)
-        run_src = msgs.src[order]
-        run_dest = msgs.dest[order]
-        run_lengths = msgs.length[order]
-        recv_values = take_ranges(piece_values, msgs.start[order], run_lengths)
-        received_sizes = np.zeros(p, dtype=np.int64)
-        np.add.at(received_sizes, msgs.dest, msgs.length)
-        received = DistArray.from_sizes(recv_values, received_sizes)
-        run_offsets = np.zeros(p + 1, dtype=np.int64)
-        np.cumsum(np.bincount(run_dest, minlength=p), out=run_offsets[1:])
-
-        group_of_rank = np.repeat(np.arange(r, dtype=np.int64), group_sizes)
-
-    return FlatDeliveryResult(
-        received=received,
-        received_msg_src=run_src,
-        received_msg_lengths=run_lengths,
-        received_msg_offsets=run_offsets,
-        received_sizes=received_sizes,
-        group_of_rank=group_of_rank,
-        group_loads=group_loads.astype(np.int64),
-        group_capacity=capacities,
-        exchange=exchange,
-        method=method,
-    )
-
-
 def _flat_advanced_parts(
     sizes: np.ndarray,
     piece_starts: np.ndarray,
@@ -995,9 +817,8 @@ def _flat_advanced_parts(
     """Pure (charge-free) part of the advanced randomized assignment.
 
     Returns the message parts plus the descriptor delegation messages
-    ``(desc_src, desc_dest)`` so that callers can execute the descriptor
-    exchange themselves — per island on the single-communicator path, or as
-    one whole-machine batch on the lockstep path.
+    ``(desc_src, desc_dest)``; the caller charges the descriptor exchange
+    as one whole-machine batch.
     """
     p, r = sizes.shape
     total = int(sizes.sum())
@@ -1058,38 +879,6 @@ def _flat_advanced_parts(
     return parts, group_loads, capacities, desc_src, desc_dest
 
 
-def _flat_assign_advanced(
-    comm,
-    sizes: np.ndarray,
-    piece_starts: np.ndarray,
-    group_starts: np.ndarray,
-    group_sizes: np.ndarray,
-    seed: int,
-    oversplit: Optional[float],
-    schedule: str,
-) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
-    """Vectorised advanced randomized assignment (Appendix A).
-
-    Reproduces :func:`_advanced_orders` + the descriptor delegation exchange
-    + the chunk-order prefix enumeration of the reference path.
-    """
-    parts, group_loads, capacities, desc_src, desc_dest = _flat_advanced_parts(
-        sizes, piece_starts, group_starts, group_sizes, seed, oversplit
-    )
-    n_desc = int(desc_src.size)
-    if n_desc > 0:
-        desc_msgs = FlatMessages(
-            desc_src,
-            desc_dest,
-            np.zeros(n_desc, dtype=np.int64),
-            np.full(n_desc, 3, dtype=np.int64),
-            np.zeros(3, dtype=np.int64),
-        )
-        comm.exchange_flat(desc_msgs, schedule=schedule, charge_copy=False,
-                           build_inbox=False)
-    return parts, group_loads, capacities
-
-
 # ======================================================================
 # Batched (lockstep) delivery over many islands at once
 # ======================================================================
@@ -1132,12 +921,13 @@ def deliver_to_groups_batched(
 ) -> BatchedDeliveryResult:
     """Run the data deliveries of all islands of one recursion level at once.
 
-    The lockstep counterpart of calling :func:`deliver_to_groups_flat` once
-    per island: per-island collectives become
-    :class:`~repro.sim.groups.GroupBatch` charges and the message streams of
-    all islands are executed as one whole-machine exchange.  Because the
-    islands are pairwise disjoint, every PE receives exactly the charge
-    sequence (and the received data) of the island-by-island execution.
+    The flat-engine port of :func:`deliver_to_groups`, for any number of
+    islands (a single communicator is a one-island batch): per-island
+    collectives become :class:`~repro.sim.groups.GroupBatch` charges and the
+    message streams of all islands are executed as one whole-machine
+    exchange.  Because the islands are pairwise disjoint, every PE receives
+    exactly the charge sequence (and the received data) of the
+    island-by-island reference execution.
 
     Parameters
     ----------
@@ -1155,7 +945,7 @@ def deliver_to_groups_batched(
     piece_sizes:
         Per island, the ``(p_k, r_k)`` piece-size matrix.
     method, seed, oversplit, phase, schedule:
-        As for :func:`deliver_to_groups_flat`; the per-group pseudorandom
+        As for :func:`deliver_to_groups`; the per-group pseudorandom
         permutation seeds restart at every island exactly like the
         per-island reference calls.
     piece_layout:

@@ -23,17 +23,11 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.blocks.delivery import deliver_to_groups, deliver_to_groups_flat
-from repro.blocks.multiselect import multisequence_select, multisequence_select_flat
+from repro.blocks.delivery import deliver_to_groups, deliver_to_groups_batched
+from repro.blocks.multiselect import multisequence_select, multisequence_select_batched
 from repro.blocks.sampling import draw_samples_flat, splitter_ranks
 from repro.dist.array import DistArray
-from repro.dist.flatops import (
-    bincount,
-    gather,
-    stable_key_argsort,
-    stable_two_key_argsort,
-    value_sort_kind,
-)
+from repro.dist.flatops import bincount, gather, stable_key_argsort, value_sort_kind
 from repro.machine.counters import (
     PHASE_BUCKET_PROCESSING,
     PHASE_DATA_DELIVERY,
@@ -42,6 +36,7 @@ from repro.machine.counters import (
 )
 from repro.seq.merge import merge_runs_numpy
 from repro.seq.partition import bucket_indices
+from repro.sim.groups import GroupBatch
 
 
 def single_level_sample_sort_reference(
@@ -226,8 +221,20 @@ def parallel_quicksort_reference(
 
 
 # ======================================================================
-# Flat (DistArray) engine ports
+# Flat (DistArray) engine: one-island runs of the batched level blocks
 # ======================================================================
+#
+# A single-level algorithm is the one-level case of AMS-sort / RLM-sort, so
+# the flat baselines run the very delivery and selection blocks the
+# multi-level sorts execute per recursion level, with the communicator as
+# the only island of the batch.
+
+def _one_island(comm) -> GroupBatch:
+    """``comm`` as a one-island :class:`GroupBatch` for the level blocks."""
+    return GroupBatch(
+        comm.machine, comm.members, np.array([0, comm.size], dtype=np.int64)
+    )
+
 
 def _single_level_sample_sort_flat(
     comm,
@@ -260,26 +267,21 @@ def _single_level_sample_sort_flat(
             splitters = sample[ranks]
         comm.bcast(splitters, root=0, words=int(splitters.size))
 
-    # --- partition into p buckets (one argsort over (PE, bucket) keys) --
+    # --- partition into p buckets: only the (PE, bucket) piece sizes ----
+    # Bucket j is PE j, so the delivery's fused element plane routes every
+    # element by its bucket index directly; no piece buffer is built.
     with comm.phase(PHASE_BUCKET_PROCESSING):
-        seg = dist.segment_ids()
-        if splitters.size == 0:
-            dest = np.zeros(dist.total, dtype=np.int64)
-        else:
-            dest = bucket_indices(dist.values, splitters)
-        key = seg * p + dest
-        order = stable_two_key_argsort(seg, dest, p, p)
-        piece_values = gather(dist.values, order)
-        piece_sizes = bincount(key, minlength=p * p).reshape(p, p).astype(
-            np.int64, copy=False
-        )
+        dest = bucket_indices(dist.values, splitters)
+        piece_sizes = bincount(
+            dist.segment_ids() * p + dest, minlength=p * p
+        ).reshape(p, p).astype(np.int64, copy=False)
         comm.charge_partition(sizes, p)
 
-    # --- direct all-to-all exchange ------------------------------------
-    groups = comm.split(p)  # every PE is its own group
-    delivery = deliver_to_groups_flat(
-        comm, groups, piece_values, piece_sizes, method="naive",
-        phase=PHASE_DATA_DELIVERY, schedule=schedule,
+    # --- direct all-to-all exchange (every PE is its own group) ----------
+    delivery = deliver_to_groups_batched(
+        _one_island(comm), [np.ones(p, dtype=np.int64)], None, [piece_sizes],
+        method="naive", phase=PHASE_DATA_DELIVERY, schedule=schedule,
+        elem_plane=(dist.values, dest),
     )
 
     # --- final local sort ------------------------------------------------
@@ -307,20 +309,23 @@ def _single_level_mergesort_flat(
 
     n_total = local_sorted.total
     sizes = local_sorted.sizes()
+    island = _one_island(comm)
 
     with comm.phase(PHASE_SPLITTER_SELECTION):
         ranks = [(g * n_total) // p for g in range(1, p)]
-        selection = multisequence_select_flat(comm, local_sorted, ranks)
+        selection = multisequence_select_batched(
+            island, local_sorted, [ranks], [comm.rng]
+        )[0]
 
     bounds = np.vstack([
         np.zeros((1, p), dtype=np.int64), selection.splits, sizes[None, :],
     ])
     piece_sizes = np.diff(bounds, axis=0).T.astype(np.int64)
 
-    groups = comm.split(p)
-    delivery = deliver_to_groups_flat(
-        comm, groups, local_sorted.values, piece_sizes, method="naive",
-        phase=PHASE_DATA_DELIVERY, schedule=schedule,
+    delivery = deliver_to_groups_batched(
+        island, [np.ones(p, dtype=np.int64)], local_sorted.values,
+        [piece_sizes], method="naive", phase=PHASE_DATA_DELIVERY,
+        schedule=schedule,
     )
 
     with comm.phase(PHASE_BUCKET_PROCESSING):
@@ -329,7 +334,7 @@ def _single_level_mergesort_flat(
         # between merging (MP-sort merges) and re-sorting from scratch.
         output = delivery.received.sort_segments()
         if merge_received:
-            ways = np.maximum(2, delivery.nonempty_runs_per_pe())
+            ways = np.maximum(2, delivery.nonempty_runs)
             comm.charge_merge(delivery.received_sizes, ways)
         else:
             comm.charge_sort(delivery.received_sizes)
@@ -379,8 +384,9 @@ def _parallel_quicksort_flat(
         comm.charge_partition(sizes, 2)
 
     groups = comm.split(2)
-    delivery = deliver_to_groups_flat(
-        comm, groups, piece_values, piece_sizes, method="naive",
+    delivery = deliver_to_groups_batched(
+        _one_island(comm), [np.array([g.size for g in groups], dtype=np.int64)],
+        piece_values, [piece_sizes], method="naive",
         phase=PHASE_DATA_DELIVERY, seed=seed_offset,
     )
 

@@ -26,9 +26,6 @@ from repro.sim.machine import SimulatedMachine
 from repro.sim.comm import Comm
 from repro.sim.exchange import (
     ExchangeResult,
-    FlatExchangeResult,
-    FlatMessages,
-    execute_exchange_flat,
     one_factor_schedule,
     direct_schedule,
 )
@@ -38,9 +35,6 @@ __all__ = [
     "SimulatedMachine",
     "Comm",
     "ExchangeResult",
-    "FlatExchangeResult",
-    "FlatMessages",
-    "execute_exchange_flat",
     "GroupBatch",
     "one_factor_schedule",
     "direct_schedule",

@@ -7,17 +7,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dist.array import DistArray
 from repro.dist.flatops import map_by_unique, map_by_unique2
 from repro.machine.counters import PhaseTimer
-from repro.sim.exchange import (
-    ExchangeResult,
-    FlatExchangeResult,
-    FlatMessages,
-    Message,
-    execute_exchange,
-    execute_exchange_flat,
-)
+from repro.sim.exchange import ExchangeResult, Message, execute_exchange
 
 
 class Comm:
@@ -148,9 +140,9 @@ class Comm:
     def _charge_collective(self, words: int, rounds_factor: float = 1.0) -> None:
         # Fault semantics (see :mod:`repro.sim.faults`): collective and
         # local charges pick up straggler/hiccup scaling inside
-        # ``advance_many``; only the irregular exchanges (``exchange`` /
-        # ``exchange_flat``) additionally run the timeout + retransmit
-        # retry protocol.  Barrier waits are never fault-scaled — idle
+        # ``advance_many``; only the irregular exchanges (``exchange`` and
+        # ``GroupBatch.charge_exchange``) additionally run the timeout +
+        # retransmit retry protocol.  Barrier waits are never fault-scaled — idle
         # time is idle regardless of the PE's speed.
         self.machine.synchronize(self.members)
         t = self.machine.cost.collective_time(
@@ -348,53 +340,6 @@ class Comm:
         See :func:`repro.sim.exchange.execute_exchange`.
         """
         return execute_exchange(self, outboxes, schedule=schedule, charge_copy=charge_copy)
-
-    def exchange_flat(
-        self,
-        msgs: FlatMessages,
-        schedule: str = "sparse",
-        charge_copy: bool = True,
-        build_inbox: bool = True,
-    ) -> FlatExchangeResult:
-        """Flat-engine irregular exchange (``Exch(P, h, r)`` over a message batch).
-
-        See :func:`repro.sim.exchange.execute_exchange_flat`.  Charges and
-        counter updates are identical to :meth:`exchange` on the equivalent
-        per-PE outboxes.
-        """
-        return execute_exchange_flat(
-            self, msgs, schedule=schedule, charge_copy=charge_copy,
-            build_inbox=build_inbox,
-        )
-
-    def alltoallv_flat(
-        self,
-        send: DistArray,
-        counts: np.ndarray,
-        schedule: str = "sparse",
-    ) -> Tuple[DistArray, FlatExchangeResult]:
-        """All-to-allv over a :class:`DistArray` in destination-major layout.
-
-        ``send.segment(i)`` holds rank ``i``'s outgoing data ordered by
-        destination rank; ``counts[i, j]`` is how many of those elements go
-        to rank ``j``.  Returns the received :class:`DistArray` (segment
-        ``j`` = concatenation of the payloads from ranks ``0 .. size-1`` in
-        source order) plus the exchange statistics.
-        """
-        counts = np.asarray(counts, dtype=np.int64)
-        if send.p != self.size or counts.shape != (self.size, self.size):
-            raise ValueError("need one send segment and one count row per member PE")
-        if np.any(counts.sum(axis=1) != send.sizes()):
-            raise ValueError("per-destination counts must sum to the segment sizes")
-        p = self.size
-        src = np.repeat(np.arange(p, dtype=np.int64), p)
-        dest = np.tile(np.arange(p, dtype=np.int64), p)
-        length = counts.reshape(-1)
-        start = np.cumsum(length) - length
-        msgs = FlatMessages(src, dest, start, length, send.values)
-        result = self.exchange_flat(msgs, schedule=schedule)
-        recv = DistArray(result.recv_values, result.recv_offsets)
-        return recv, result
 
     def alltoallv(self, send_lists: Sequence[Sequence[np.ndarray]],
                   schedule: str = "sparse") -> List[List[np.ndarray]]:

@@ -356,43 +356,6 @@ class TestBaselineEquivalence:
         )
 
 
-class TestFlatCollectives:
-    @given(st.integers(1, 8), st.integers(0, 5), st.integers(0, 1000))
-    @settings(max_examples=20, deadline=None)
-    def test_alltoallv_flat_matches_alltoallv(self, p, max_len, seed):
-        rng = np.random.default_rng(seed)
-        counts = rng.integers(0, max_len + 1, size=(p, p))
-        send_lists = [
-            [rng.integers(0, 100, size=counts[i, j]) for j in range(p)]
-            for i in range(p)
-        ]
-        m_ref = SimulatedMachine(p, spec=laptop_like(), seed=seed)
-        recv_ref = m_ref.world().alltoallv(send_lists)
-
-        m_flat = SimulatedMachine(p, spec=laptop_like(), seed=seed)
-        flat_values = np.concatenate(
-            [a for row in send_lists for a in row if a.size]
-        ) if counts.sum() else np.empty(0, dtype=np.int64)
-        send = DistArray.from_sizes(flat_values, counts.sum(axis=1))
-        recv, result = m_flat.world().alltoallv_flat(send, counts)
-
-        for j in range(p):
-            expect = [a for a in (recv_ref[j][i] for i in range(p)) if a.size]
-            expect_cat = np.concatenate(expect) if expect else np.empty(0)
-            assert np.array_equal(recv.segment(j), expect_cat)
-        assert np.array_equal(m_ref.clock, m_flat.clock)
-        for field in COUNTER_FIELDS:
-            assert np.array_equal(
-                getattr(m_ref.counters, field), getattr(m_flat.counters, field)
-            )
-
-    def test_alltoallv_flat_rejects_bad_counts(self):
-        machine = SimulatedMachine(2, spec=laptop_like())
-        send = DistArray.from_sizes(np.arange(3), [2, 1])
-        with pytest.raises(ValueError):
-            machine.world().alltoallv_flat(send, np.array([[1, 2], [0, 1]]))
-
-
 class TestRunnerEngines:
     def test_engine_switch_identical_results(self):
         data = random_data(16, 150, 9)
