@@ -335,6 +335,19 @@ def multisequence_select_batched(
     # Round-invariant lookups, hoisted out of the pivot loop.
     pe_isl_map = np.repeat(np.arange(n_isl, dtype=np.int64), p_k)
     log_sizes = np.maximum(1.0, np.log2(np.maximum(sizes, 2)))
+    row_ids = np.arange(n_rows + 1, dtype=np.int64)
+    lo_sum = (
+        np.add.reduceat(lo, pair_off[:-1]) if n_rows
+        else np.empty(0, dtype=np.int64)
+    )
+
+    # Each round works on the *open* windows (lo < hi) only, not on every
+    # (rank, PE) pair.  A window never reopens once closed and every window
+    # of a finished row is closed, so the open set shrinks round by round
+    # and always holds exactly the windows of the rows still drawing
+    # pivots.  ``op`` stays sorted, so each row's open windows are one
+    # contiguous run of it.
+    op = np.flatnonzero(hi > lo)
 
     while True:
         live_per_isl = np.bincount(row_isl[~row_done], minlength=n_isl)
@@ -345,12 +358,17 @@ def multisequence_select_batched(
         if np.any(iterations[active_isl] > (max_iter + isl_total)[active_isl]):
             raise RuntimeError("multisequence selection failed to converge")
 
-        widths = hi - lo
-        row_rem = np.add.reduceat(widths, pair_off[:-1])
+        op_row = pair_row[op]
+        op_lo = lo[op]
+        op_hi = hi[op]
+        op_off = np.searchsorted(op_row, row_ids)  # row r: op[op_off[r]:op_off[r+1]]
+        csum = np.zeros(op.size + 1, dtype=np.int64)
+        np.cumsum(op_hi - op_lo, out=csum[1:])
+        row_base = csum[op_off[:-1]]
+        row_rem = csum[op_off[1:]] - row_base
         live = ~row_done
         collapsed = live & (row_rem == 0)
         if collapsed.any():
-            lo_sum = np.add.reduceat(lo, pair_off[:-1])
             if np.any(lo_sum[collapsed] != ranks_flat[collapsed]):
                 raise RuntimeError("multiselect window collapsed at wrong rank")
             row_done[collapsed] = True
@@ -371,44 +389,39 @@ def multisequence_select_batched(
         for a, b in zip(d_starts.tolist(), d_ends.tolist()):
             us[a:b] = rngs[int(d_isl[a])].integers(0, d_vals[a:b])
 
-        # --- locate the pivots: segmented cumsum + segmented search -------
-        csum = np.cumsum(widths)
-        row_base = csum[pair_off[:-1]] - widths[pair_off[:-1]]
-        seg_csum = csum - np.repeat(row_base, pair_cnt)
-        q_local = segmented_searchsorted(seg_csum, pair_off, us, draw_rows, side="right")
-        q_pair = pair_off[draw_rows] + q_local
-        prev = np.where(q_local > 0, seg_csum[q_pair - 1], 0)
-        pos_row = lo[q_pair] + (us - prev)
+        # --- locate the pivots: segmented search in the open-window widths'
+        # running sum (closed windows have width 0 and never own a pivot).
+        q_open = op_off[draw_rows] + segmented_searchsorted(
+            csum[1:], op_off, row_base[draw_rows] + us, draw_rows, side="right"
+        )
+        q_pair = op[q_open]
+        q_local = pair_local[q_pair]
+        pos_row = op_lo[q_open] + (us - (csum[q_open] - row_base[draw_rows]))
         owner_pe = pair_pe[q_pair]
         pv_row = values[offsets[owner_pe] + pos_row]
 
         # --- segmented two-sided window counting --------------------------
-        cnt = np.zeros(n_pairs, dtype=np.int64)
         draw_idx_of_row = np.full(n_rows, -1, dtype=np.int64)
         draw_idx_of_row[draw_rows] = np.arange(draw_rows.size, dtype=np.int64)
-        open_mask = np.repeat(drawing, pair_cnt) & (hi > lo)
-        op = np.flatnonzero(open_mask)
-        if op.size:
-            di = draw_idx_of_row[pair_row[op]]
-            pos_in_seg = segmented_searchsorted(
-                values,
-                offsets,
-                pv_row[di],
-                pair_pe[op],
-                side=pair_local[op] < q_local[di],
-                lo=lo[op],
-                hi=hi[op],
-            )
-            cnt[op] = pos_in_seg - lo[op]
+        di = draw_idx_of_row[op_row]
+        op_pe = pair_pe[op]
+        cnt = segmented_searchsorted(
+            values,
+            offsets,
+            pv_row[di],
+            op_pe,
+            side=pair_local[op] < q_local[di],
+            lo=op_lo,
+            hi=op_hi,
+        ) - op_lo
         # The owner counts by pivot *position* (implicit (value, PE, pos)
         # key) — exact with duplicate runs spanning PE boundaries.
-        cnt[q_pair] = pos_row - lo[q_pair] + 1
+        cnt[q_open] = pos_row - op_lo[q_open] + 1
 
         # --- local binary-search charge for every island that drew --------
         charged_isl = d_isl[d_starts]  # sorted unique (rows island-major)
         if charge_local:
-            ops = np.bincount(pair_pe[op], minlength=q_pes) if op.size else \
-                np.zeros(q_pes, dtype=np.int64)
+            ops = np.bincount(op_pe, minlength=q_pes)
             drawn = np.zeros(n_isl, dtype=bool)
             drawn[charged_isl] = True
             charged = drawn[pe_isl_map]
@@ -419,8 +432,9 @@ def multisequence_select_batched(
         islands.select(charged_isl).charge_collective(nr_k[charged_isl])
 
         # --- narrow the candidate windows ---------------------------------
-        row_cnt = np.add.reduceat(cnt, pair_off[:-1])
-        lo_sum = np.add.reduceat(lo, pair_off[:-1])
+        ccum = np.zeros(op.size + 1, dtype=np.int64)
+        np.cumsum(cnt, out=ccum[1:])
+        row_cnt = ccum[op_off[1:]] - ccum[op_off[:-1]]
         got = row_cnt[draw_rows]
         target = ranks_flat[draw_rows] - lo_sum[draw_rows]
         le = got <= target
@@ -428,15 +442,20 @@ def multisequence_select_batched(
         row_le[draw_rows] = le
         row_eq = np.zeros(n_rows, dtype=bool)
         row_eq[draw_rows] = got == target
-        row_gt = np.zeros(n_rows, dtype=bool)
-        row_gt[draw_rows] = ~le
-        le_pairs = np.repeat(row_le, pair_cnt)
-        lo = np.where(le_pairs, lo + cnt, lo)
-        hi = np.where(np.repeat(row_eq, pair_cnt), lo, hi)
+        # Every open window belongs to a drawing row: rows at or below the
+        # target keep their counted part (and close when exact), the others
+        # shrink to it, minus the pivot itself.
+        le_op = row_le[op_row]
+        new_lo = np.where(le_op, op_lo + cnt, op_lo)
+        new_hi = np.where(
+            le_op, np.where(row_eq[op_row], new_lo, op_hi), op_lo + cnt
+        )
+        new_hi[q_open[~le]] -= 1
+        lo[op] = new_lo
+        hi[op] = new_hi
+        lo_sum += np.where(row_le, row_cnt, 0)
         row_done |= row_eq
-        gt_pairs = np.repeat(row_gt, pair_cnt)
-        hi = np.where(gt_pairs, lo + cnt, hi)
-        hi[q_pair[~le]] -= 1
+        op = op[new_hi > new_lo]
 
     if n_rows:
         row_sum = np.add.reduceat(lo, pair_off[:-1])
