@@ -142,8 +142,8 @@ class Comm:
         # local charges pick up straggler/hiccup scaling inside
         # ``advance_many``; only the irregular exchanges (``exchange`` and
         # ``GroupBatch.charge_exchange``) additionally run the timeout +
-        # retransmit retry protocol.  Barrier waits are never fault-scaled — idle
-        # time is idle regardless of the PE's speed.
+        # retransmit retry protocol.  Barrier waits are never fault-scaled —
+        # idle time is idle regardless of the PE's speed.
         self.machine.synchronize(self.members)
         t = self.machine.cost.collective_time(
             self.size, words=max(int(words), 0), level=self.level,

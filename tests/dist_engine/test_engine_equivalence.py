@@ -45,11 +45,11 @@ def random_data(p, max_n, seed, high=1000):
 
 
 def assert_engines_identical(flat_fn, ref_fn, p, data, seed, spec=None,
-                             faults=None, exact_bytes=False, **kwargs):
+                             faults=None, **kwargs):
     """Run both engines on identical machines and compare all observables.
 
-    ``exact_bytes`` additionally requires every output array to have the
-    same raw bytes (``tobytes()``) and, when non-empty, the same dtype.
+    Outputs must match in raw bytes (``tobytes()``) and, when non-empty,
+    in dtype.
     """
     spec = spec or laptop_like()
     m_ref = SimulatedMachine(p, spec=spec, seed=seed, faults=faults)
@@ -60,10 +60,8 @@ def assert_engines_identical(flat_fn, ref_fn, p, data, seed, spec=None,
     assert len(out_ref) == len(out_flat)
     for i, (a, b) in enumerate(zip(out_ref, out_flat)):
         assert np.array_equal(a, b), f"output of PE {i} differs"
-        if exact_bytes:
-            assert a.tobytes() == b.tobytes(), f"output bytes of PE {i} differ"
-            assert a.size == 0 or a.dtype == b.dtype, \
-                f"output dtype of PE {i} differs"
+        assert a.tobytes() == b.tobytes(), f"output bytes of PE {i} differ"
+        assert a.size == 0 or a.dtype == b.dtype, f"output dtype of PE {i} differs"
     assert np.array_equal(m_ref.clock, m_flat.clock), "clocks differ"
     assert sorted(m_ref.breakdown.phases()) == sorted(m_flat.breakdown.phases())
     for phase in m_ref.breakdown.phases():
@@ -331,7 +329,7 @@ class TestBaselineEquivalence:
             data[-1] = data[-1][:0]
         assert_engines_identical(
             flat_fn, ref_fn, p, data, seed, spec=BASELINE_SPECS[spec](),
-            faults=faults, exact_bytes=True, **kwargs,
+            faults=faults, **kwargs,
         )
 
     def test_sample_sort(self):
