@@ -9,32 +9,20 @@ overpartitioning (Lemma 2: the required sample size drops from
 ``O(1/eps^2)`` to ``O(1/eps)``).
 """
 
-from conftest import publish
+from conftest import publish, run_experiment
 
 from repro.analysis.tables import format_table
-from repro.experiments.harness import ExperimentRunner
-from repro.experiments.overpartitioning import imbalance_sweep_rows
 
 
 B_VALUES = (1, 8, 16)
 SAMPLES_PER_PE = (4, 16, 64, 256)
 
 
-def run_sweep(profile):
-    runner = ExperimentRunner()
-    return imbalance_sweep_rows(
-        p=profile["overpartition_p"],
-        n_per_pe=profile["overpartition_n"],
-        b_values=B_VALUES,
-        samples_per_pe_values=SAMPLES_PER_PE,
-        node_size=profile["node_size"],
-        repetitions=profile["repetitions"],
-        runner=runner,
-    )
-
-
 def test_fig10_imbalance(benchmark, profile):
-    rows = benchmark.pedantic(run_sweep, args=(profile,), rounds=1, iterations=1)
+    section = benchmark.pedantic(
+        run_experiment, args=(profile, "overpartitioning"), rounds=1, iterations=1
+    )
+    rows = section["fig10"]
     text = format_table(
         rows,
         title=(

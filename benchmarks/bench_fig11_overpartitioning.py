@@ -8,32 +8,19 @@ slower), too many samples hurt (sampling itself starts to dominate), and the
 sampling share of the wall-time grows monotonically with the sample count.
 """
 
-from conftest import publish
+from conftest import publish, run_experiment
 
 from repro.analysis.tables import format_table
-from repro.experiments.harness import ExperimentRunner
-from repro.experiments.overpartitioning import walltime_sweep_rows
 
 
 A_VALUES = (1.0, 8.0, 16.0)
-SAMPLES_PER_PE = (4, 16, 64, 256, 1024)
-
-
-def run_sweep(profile):
-    runner = ExperimentRunner()
-    return walltime_sweep_rows(
-        p=profile["overpartition_p"],
-        n_per_pe=profile["overpartition_n"],
-        a_values=A_VALUES,
-        samples_per_pe_values=SAMPLES_PER_PE,
-        node_size=profile["node_size"],
-        repetitions=profile["repetitions"],
-        runner=runner,
-    )
 
 
 def test_fig11_overpartitioning_walltime(benchmark, profile):
-    rows = benchmark.pedantic(run_sweep, args=(profile,), rounds=1, iterations=1)
+    section = benchmark.pedantic(
+        run_experiment, args=(profile, "overpartitioning"), rounds=1, iterations=1
+    )
+    rows = section["fig11"]
     text = format_table(
         rows,
         title=(
@@ -51,5 +38,5 @@ def test_fig11_overpartitioning_walltime(benchmark, profile):
         assert sampling[-1] >= sampling[0]
         # The largest sample count should not be the fastest overall
         # configuration (the right branch of the U-curve).
-        totals = [row["total_time_s"] for row in series]
+        totals = [row["time_median_s"] for row in series]
         assert totals[-1] >= min(totals)

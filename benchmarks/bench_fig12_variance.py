@@ -10,30 +10,20 @@ relative to the median — the same qualitative statement the paper makes for
 small and mid p.
 """
 
-from conftest import publish
+from conftest import publish, run_experiment
 
 from repro.analysis.tables import format_table
-from repro.experiments.harness import ExperimentRunner
-from repro.experiments.variance import variance_rows
 
 
 REPETITIONS = 5
 
 
-def run_sweep(profile):
-    runner = ExperimentRunner()
-    return variance_rows(
-        p_values=profile["p_values"],
-        n_per_pe_values=profile["n_per_pe_values"],
-        level_counts=(1, 2),
-        repetitions=REPETITIONS,
-        node_size=profile["node_size"],
-        runner=runner,
-    )
-
-
 def test_fig12_variance(benchmark, profile):
-    rows = benchmark.pedantic(run_sweep, args=(profile,), rounds=1, iterations=1)
+    profile = dict(profile, repetitions=REPETITIONS)
+    section = benchmark.pedantic(
+        run_experiment, args=(profile, "variance"), rounds=1, iterations=1
+    )
+    rows = section["rows"]
     text = format_table(
         rows,
         title=(

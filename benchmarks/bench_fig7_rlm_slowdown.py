@@ -6,27 +6,16 @@ small ``n/p`` and large ``p``.  The scaled reproduction checks the same
 ordering and reports the slowdown series.
 """
 
-from conftest import publish
+from conftest import publish, run_experiment
 
 from repro.analysis.tables import format_table
-from repro.experiments.harness import ExperimentRunner
-from repro.experiments.slowdown import slowdown_rows
-
-
-def run_sweep(profile):
-    runner = ExperimentRunner()
-    return slowdown_rows(
-        p_values=profile["p_values"],
-        n_per_pe_values=profile["n_per_pe_values"],
-        level_counts=(1, 2),
-        repetitions=profile["repetitions"],
-        node_size=profile["node_size"],
-        runner=runner,
-    )
 
 
 def test_fig7_rlm_slowdown(benchmark, profile):
-    rows = benchmark.pedantic(run_sweep, args=(profile,), rounds=1, iterations=1)
+    section = benchmark.pedantic(
+        run_experiment, args=(profile, "slowdown"), rounds=1, iterations=1
+    )
+    rows = section["rows"]
     text = format_table(
         rows,
         title=(

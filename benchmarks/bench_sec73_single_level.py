@@ -9,27 +9,16 @@ our re-implemented single-level baselines and checks the structural claim:
 the single-level slowdown grows with ``p``.
 """
 
-from conftest import publish
+from conftest import publish, run_experiment
 
 from repro.analysis.tables import format_table
-from repro.experiments.comparison import comparison_rows
-from repro.experiments.harness import ExperimentRunner
-
-
-def run_sweep(profile):
-    runner = ExperimentRunner()
-    return comparison_rows(
-        p_values=profile["p_values"],
-        n_per_pe=min(profile["n_per_pe_values"]),
-        baselines=("mergesort", "samplesort", "quicksort"),
-        node_size=profile["node_size"],
-        repetitions=profile["repetitions"],
-        runner=runner,
-    )
 
 
 def test_sec73_single_level_comparison(benchmark, profile):
-    rows = benchmark.pedantic(run_sweep, args=(profile,), rounds=1, iterations=1)
+    section = benchmark.pedantic(
+        run_experiment, args=(profile, "comparison"), rounds=1, iterations=1
+    )
+    rows = section["rows"]
     text = format_table(
         rows,
         title=(

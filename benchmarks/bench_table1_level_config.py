@@ -7,10 +7,11 @@ paper's choices (for the multi-level rows) and benchmarks the planning
 routine itself.
 """
 
-from conftest import publish
+from conftest import bench_profile, publish, run_experiment
 
+from repro.analysis.tables import format_table
 from repro.core.config import level_plan
-from repro.experiments.level_table import PAPER_TABLE1, run as level_table_run
+from repro.experiments.level_table import PAPER_TABLE1, TITLE
 
 
 PAPER_P = (512, 2048, 8192, 32768)
@@ -31,4 +32,5 @@ def test_table1_level_plan(benchmark):
     for k in (2, 3):
         for p in PAPER_P:
             assert plans[(k, p)] == PAPER_TABLE1[k][p], (k, p)
-    publish("table1_level_config", level_table_run())
+    rows = run_experiment(bench_profile(), "level_table")["rows"]
+    publish("table1_level_config", format_table(rows, title=TITLE))

@@ -18,30 +18,36 @@ from repro.analysis.theory import (
     rlm_sort_time_model,
     single_level_sample_sort_time_model,
 )
-from repro.experiments.harness import ExperimentRunner, RunConfig
+from repro.analysis.metrics import median
+from repro.experiments.campaign import CampaignCell, finalize_cell, run_cell
 from repro.machine.spec import supermuc_like
 
 
+def simulated_time(profile, algorithm, p, n_per_pe, levels):
+    """Median modelled time over the profile's repetitions of one cell."""
+    return median(
+        run_cell(finalize_cell(CampaignCell(
+            experiment="theory_model", algorithm=algorithm, p=p,
+            n_per_pe=n_per_pe, levels=levels, node_size=profile["node_size"],
+            repetition=rep,
+        )))["total_time_s"]
+        for rep in range(profile["repetitions"])
+    )
+
+
 def run_comparison(profile):
-    runner = ExperimentRunner()
     spec = supermuc_like()
     n_per_pe = min(profile["n_per_pe_values"])
     rows = []
     for p in profile["p_values"]:
         n = n_per_pe * p
-        measured_ams = runner.run(RunConfig(
-            algorithm="ams", p=p, n_per_pe=n_per_pe, levels=2,
-            node_size=profile["node_size"], repetitions=profile["repetitions"]))
-        measured_single = runner.run(RunConfig(
-            algorithm="samplesort", p=p, n_per_pe=n_per_pe, levels=1,
-            node_size=profile["node_size"], repetitions=profile["repetitions"]))
         rows.append({
             "p": p,
             "n_per_pe": n_per_pe,
             "model_ams_s": ams_sort_time_model(spec, n, p, levels=2)["total"],
-            "sim_ams_s": measured_ams["time_median_s"],
+            "sim_ams_s": simulated_time(profile, "ams", p, n_per_pe, levels=2),
             "model_single_s": single_level_sample_sort_time_model(spec, n, p)["total"],
-            "sim_single_s": measured_single["time_median_s"],
+            "sim_single_s": simulated_time(profile, "samplesort", p, n_per_pe, levels=1),
             "model_rlm_s": rlm_sort_time_model(spec, n, p, levels=2)["total"],
         })
     return rows

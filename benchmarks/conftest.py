@@ -27,34 +27,42 @@ def bench_scale() -> str:
 
 
 def bench_profile() -> dict:
-    """Scaled (p, n/p) grids used by the benchmark suite."""
+    """Scaled (p, n/p) grids used by the benchmark suite.
+
+    The dict is a campaign profile: each benchmark runs its experiment as
+    ``run_campaign(bench_profile(), experiments=(name,), ...)``.
+    """
     profiles = {
         "quick": {
             "p_values": (16, 64),
             "n_per_pe_values": (200, 2000),
             "node_size": 4,
             "repetitions": 1,
-            "overpartition_p": 16,
-            "overpartition_n": 2000,
         },
         "medium": {
             "p_values": (64, 256),
             "n_per_pe_values": (500, 5000),
             "node_size": 8,
             "repetitions": 2,
-            "overpartition_p": 64,
-            "overpartition_n": 10000,
         },
         "large": {
             "p_values": (256, 1024, 4096),
             "n_per_pe_values": (1000, 10000),
             "node_size": 16,
             "repetitions": 3,
-            "overpartition_p": 512,
-            "overpartition_n": 100000,
         },
     }
     return profiles.get(bench_scale(), profiles["quick"])
+
+
+def run_experiment(profile: dict, name: str) -> dict:
+    """One-experiment campaign on uniform input: the experiment's sections."""
+    from repro.experiments.campaign import run_campaign
+
+    summary, _ = run_campaign(
+        profile, experiments=(name,), workloads=("uniform",), jobs=1, cache_dir=None
+    )
+    return summary["experiments"][name]
 
 
 def publish(name: str, text: str) -> None:

@@ -1,6 +1,8 @@
 """Experiment harness reproducing the paper's evaluation (Section 7, Appendix E).
 
-Every module corresponds to one table or figure:
+Every module corresponds to one table or figure and defines it once, as
+``cells(profile, workload, primary)`` (the single runs it needs) and
+``aggregate(pairs)`` (the rows it reports):
 
 * :mod:`repro.experiments.level_table` — Table 1 (group counts per level),
 * :mod:`repro.experiments.weak_scaling` — Table 2 and Figure 8 (weak scaling
@@ -14,18 +16,19 @@ Every module corresponds to one table or figure:
   (stragglers, dropped/degraded exchange rounds; extends the Figure 12
   robustness story beyond healthy machines).
 
-The paper's machine (up to 32768 MPI ranks with up to ``10^7`` elements
-each) does not fit into a pure-Python simulation, so every experiment runs a
-*scaled* configuration by default and prints both the configuration it ran
-and, where applicable, the paper's reference numbers next to the measured
-ones.  The scale is controlled by the ``REPRO_SCALE`` environment variable
-(``quick`` [default], ``medium``, ``large``) or by passing explicit
-parameters to the experiment functions.
+:mod:`repro.experiments.campaign` executes the cells (serially or sharded,
+optionally cached) and aggregates them; a single figure is a campaign of one
+experiment.  The paper's machine (up to 32768 MPI ranks with up to ``10^7``
+elements each) does not fit into a pure-Python simulation, so every
+experiment runs a *scaled* configuration by default.  The scale is a profile
+from :data:`~repro.experiments.harness.SCALE_PROFILES`, chosen by name or
+by the ``REPRO_SCALE`` environment variable: ``tiny`` (golden traces),
+``quick`` [default], ``medium``, ``large``, ``paper`` (the paper's machine
+sizes, flat engine only) and ``beyond`` (past the paper's largest machine).
 """
 
 from repro.experiments.harness import (
-    ExperimentRunner,
-    RunConfig,
+    CampaignCell,
     scale_profile,
     SCALE_PROFILES,
 )
@@ -41,8 +44,7 @@ from repro.experiments import (
 )
 
 __all__ = [
-    "ExperimentRunner",
-    "RunConfig",
+    "CampaignCell",
     "scale_profile",
     "SCALE_PROFILES",
     "campaign",

@@ -2,9 +2,10 @@
 
 The paper (Section 7, Appendix E) evaluates at ``p`` in {512, 2048, 8192,
 32768} across Table 2 and Figs. 7-12.  A *campaign* expands each experiment
-(weak scaling, slowdown, overpartitioning, variance, comparison, level
-table) into a flat list of **cells** — one ``(machine, algorithm, config,
-workload, repetition)`` single run each — and then
+of :data:`EXPERIMENT_MODULES` (weak scaling, slowdown, overpartitioning,
+variance, comparison, level table, faults) into a flat list of **cells** —
+one ``(machine, algorithm, config, workload, repetition)`` single run each,
+listed by the module's ``cells`` — and then
 
 * fans the cells across a :class:`~concurrent.futures.ProcessPoolExecutor`
   (``jobs > 1``) with a deterministic per-cell seed derived from the cell
@@ -13,18 +14,20 @@ workload, repetition)`` single run each — and then
   disk keyed by a content hash of the cell spec plus :data:`RNG_VERSION`
   (the code-relevant RNG generation), so interrupted or re-run campaigns
   resume from the cache instead of recomputing,
-* aggregates the cell summaries into the per-experiment rows (medians over
-  repetitions, best-level reductions, slowdown ratios) that correspond to
-  the paper's tables and figures.
+* aggregates the cell summaries with each module's ``aggregate`` into the
+  per-experiment rows (medians over repetitions, best-level reductions,
+  slowdown ratios) that correspond to the paper's tables and figures.
 
 Cells above ``reference_max_p`` (the per-PE reference engine's feasibility
 limit, relevant for the ``"paper"`` profile reaching ``p = 32768``) are
 flat-engine only and are pinned by a seeded-determinism re-run instead of a
 cross-engine comparison, exactly like ``benchmarks/bench_engine_scaling.py``.
 
-Command line::
+A single table or figure is a one-experiment campaign (``jobs=1``, no
+cache).  Command line::
 
     python -m repro.experiments.cli campaign --profile quick --jobs 4
+    python -m repro.experiments.cli table2 --scale quick
 """
 
 from __future__ import annotations
@@ -35,18 +38,23 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.analysis.metrics import slowdown as slowdown_metric
-from repro.analysis.metrics import summarize_runs
 from repro.analysis.tables import format_table
-from repro.core.config import level_plan
+from repro.core.config import AMSConfig, RLMConfig, level_plan
 from repro.core.runner import run_on_machine
-from repro.experiments.harness import PAPER_P_VALUES, build_algo_config, scale_profile
+from repro.experiments import (
+    comparison,
+    faults,
+    level_table,
+    overpartitioning,
+    slowdown,
+    variance,
+    weak_scaling,
+)
+from repro.experiments.harness import PAPER_P_VALUES, CampaignCell, scale_profile
 from repro.machine.spec import spec_by_name
 from repro.sim.machine import SimulatedMachine
 from repro.workloads.generators import WORKLOADS, per_pe_workload
@@ -59,16 +67,20 @@ from repro.workloads.generators import WORKLOADS, per_pe_workload
 #: clocks/imbalance and stale cached summaries would otherwise survive.
 RNG_VERSION = "ctr-philox-v1+group-rng-v1"
 
+#: Every experiment, in display order: each module defines ``TITLE``,
+#: ``cells(profile, workload, primary)`` and ``aggregate(pairs)``.
+EXPERIMENT_MODULES = {
+    "weak_scaling": weak_scaling,
+    "slowdown": slowdown,
+    "overpartitioning": overpartitioning,
+    "variance": variance,
+    "comparison": comparison,
+    "level_table": level_table,
+    "faults": faults,
+}
+
 #: Experiments a campaign can expand, in display order.
-CAMPAIGN_EXPERIMENTS = (
-    "weak_scaling",
-    "slowdown",
-    "overpartitioning",
-    "variance",
-    "comparison",
-    "level_table",
-    "faults",
-)
+CAMPAIGN_EXPERIMENTS = tuple(EXPERIMENT_MODULES)
 
 #: Default workload axis: the paper's uniform input plus the adversarial
 #: distributions from :mod:`repro.workloads.generators`.  The first entry is
@@ -86,57 +98,10 @@ CAMPAIGN_WORKLOADS = (
     "reverse",
 )
 
-_BASELINES = ("mergesort", "samplesort", "quicksort")
-
 
 # ----------------------------------------------------------------------
 # Cell spec
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CampaignCell:
-    """One unit of campaign work: a single repetition of a single config.
-
-    ``kind == "sort"`` cells run one sorting algorithm on the simulator;
-    ``kind == "plan"`` cells (level table) compute level plans only.  The
-    ``seed`` is derived from the identity fields by :func:`derive_cell_seed`
-    at expansion time, so a cell is self-contained: any process can execute
-    it and obtain the same summary.
-    """
-
-    experiment: str
-    kind: str = "sort"
-    machine: str = "supermuc"
-    algorithm: str = "ams"
-    p: int = 16
-    n_per_pe: int = 1000
-    levels: int = 2
-    workload: str = "uniform"
-    node_size: int = 4
-    repetition: int = 0
-    series: str = ""
-    delivery: str = "deterministic"
-    overpartitioning: Optional[int] = None
-    oversampling: Optional[float] = None
-    samples_per_pe: Optional[int] = None
-    engine: str = "flat"
-    validate: bool = True
-    determinism_check: bool = False
-    #: Fault-injection spec string (see :mod:`repro.sim.faults`); "" = healthy.
-    faults: str = ""
-    seed: int = 0
-
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, object]) -> "CampaignCell":
-        return cls(**d)  # type: ignore[arg-type]
-
-    def group_key(self) -> "CampaignCell":
-        """The cell with repetition/seed erased: the aggregation group."""
-        return replace(self, repetition=0, seed=0)
-
-
 def _canonical_json(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -187,16 +152,33 @@ def _run_sort_cell(cell: CampaignCell) -> Dict[str, object]:
         faults=cell.faults or None,
     )
     local_data = per_pe_workload(cell.workload, cell.p, cell.n_per_pe, seed=cell.seed + 1)
-    config = build_algo_config(
-        cell.algorithm,
-        p=cell.p,
-        n_per_pe=cell.n_per_pe,
-        levels=cell.levels,
-        node_size=cell.node_size,
-        delivery=cell.delivery,
-        overpartitioning=cell.overpartitioning,
-        oversampling=cell.oversampling,
-    )
+    # Baselines take no config; AMS-sort gets explicit sampling parameters
+    # when the experiment sweeps them.
+    config = None
+    if cell.algorithm == "ams":
+        sampling = None
+        if cell.overpartitioning is not None or cell.oversampling is not None:
+            from repro.blocks.sampling import SamplingParams, default_oversampling
+
+            sampling = SamplingParams(
+                oversampling=(
+                    cell.oversampling
+                    if cell.oversampling is not None
+                    else default_oversampling(cell.p * cell.n_per_pe)
+                ),
+                overpartitioning=(
+                    cell.overpartitioning if cell.overpartitioning is not None else 16
+                ),
+                per_pe=True,
+            )
+        config = AMSConfig(
+            levels=cell.levels, node_size=cell.node_size, delivery=cell.delivery,
+            sampling=sampling,
+        )
+    elif cell.algorithm == "rlm":
+        config = RLMConfig(
+            levels=cell.levels, node_size=cell.node_size, delivery=cell.delivery
+        )
     result = run_on_machine(
         machine,
         local_data,
@@ -319,220 +301,6 @@ class CellCache:
 # ----------------------------------------------------------------------
 # Campaign expansion
 # ----------------------------------------------------------------------
-def _level_candidates(
-    profile: Mapping[str, object], p: int, counts: Sequence[int] = (1, 2, 3)
-) -> Tuple[int, ...]:
-    policy = profile.get("level_counts")
-    if policy == "paper":
-        # Table 1: three levels at the largest machine (p = 2^15), two below.
-        return (3,) if p > 8192 else (2,)
-    if policy:
-        counts = tuple(policy)  # type: ignore[arg-type]
-    node = int(profile["node_size"])
-    return tuple(k for k in counts if k == 1 or p > node)
-
-
-def _grid(profile: Mapping[str, object], primary: bool):
-    """(p_values, n_per_pe_values, repetitions) — full grid for the primary
-    workload, a trimmed one (small machines/inputs) for the others."""
-    ps = tuple(profile["p_values"])
-    ns = tuple(profile["n_per_pe_values"])
-    reps = int(profile["repetitions"])
-    if primary:
-        return ps, ns, reps
-    return ps[:2], ns[:1], min(2, reps)
-
-
-def _expand_weak_scaling(profile, workload, primary) -> List[CampaignCell]:
-    ps, ns, reps = _grid(profile, primary)
-    cells = []
-    for n_per_pe in ns:
-        for p in ps:
-            candidates = _level_candidates(profile, p)
-            if not primary:
-                candidates = tuple(k for k in candidates if k <= 2)
-            for levels in candidates:
-                for rep in range(max(1, reps)):
-                    cells.append(CampaignCell(
-                        experiment="weak_scaling", algorithm="ams", p=p,
-                        n_per_pe=n_per_pe, levels=levels, workload=workload,
-                        node_size=int(profile["node_size"]), repetition=rep,
-                    ))
-    return cells
-
-
-def _expand_slowdown(profile, workload, primary) -> List[CampaignCell]:
-    ps, ns, reps = _grid(profile, primary)
-    if primary:
-        ps, ns = ps, ns[:2]
-    else:
-        ps, ns = ps[:1], ns[:1]
-    cells = []
-    for n_per_pe in ns:
-        for p in ps:
-            candidates = _level_candidates(profile, p)
-            if not primary:
-                candidates = tuple(k for k in candidates if k <= 2)
-            for algorithm in ("ams", "rlm"):
-                for levels in candidates:
-                    for rep in range(max(1, reps)):
-                        cells.append(CampaignCell(
-                            experiment="slowdown", algorithm=algorithm, p=p,
-                            n_per_pe=n_per_pe, levels=levels, workload=workload,
-                            node_size=int(profile["node_size"]), repetition=rep,
-                        ))
-    return cells
-
-
-def _expand_overpartitioning(profile, workload, primary) -> List[CampaignCell]:
-    ps = tuple(profile["p_values"])
-    ns = tuple(profile["n_per_pe_values"])
-    p = int(ps[0])
-    n_per_pe = int(ns[min(1, len(ns) - 1)])
-    node_size = int(profile["node_size"])
-    reps = min(2, int(profile["repetitions"])) if primary else 1
-    cells = []
-    if primary:
-        b_values, samples = (1, 8, 16), (4, 16, 64, 256)
-        a_values = (1.0, 8.0, 16.0)
-    else:
-        b_values, samples = (1, 8), (16, 64)
-        a_values = ()
-    # Figure 10: imbalance vs samples per PE for several overpartitioning b.
-    for b in b_values:
-        for ab in samples:
-            a = max(ab / b, 0.25)
-            for rep in range(reps):
-                cells.append(CampaignCell(
-                    experiment="overpartitioning", series="fig10", algorithm="ams",
-                    p=p, n_per_pe=n_per_pe, levels=1, workload=workload,
-                    node_size=node_size, repetition=rep,
-                    overpartitioning=int(b), oversampling=float(a),
-                    samples_per_pe=int(ab),
-                ))
-    # Figure 11: wall-time vs samples per PE for several oversampling a.
-    for a in a_values:
-        for ab in samples:
-            b = max(1, int(round(ab / a)))
-            for rep in range(reps):
-                cells.append(CampaignCell(
-                    experiment="overpartitioning", series="fig11", algorithm="ams",
-                    p=p, n_per_pe=n_per_pe, levels=1, workload=workload,
-                    node_size=node_size, repetition=rep,
-                    overpartitioning=int(b), oversampling=float(a),
-                    samples_per_pe=int(ab),
-                ))
-    return cells
-
-
-def _expand_variance(profile, workload, primary) -> List[CampaignCell]:
-    ps = tuple(profile["p_values"])[:2] if primary else tuple(profile["p_values"])[:1]
-    ns = tuple(profile["n_per_pe_values"])[:2] if primary else tuple(profile["n_per_pe_values"])[:1]
-    reps = max(3, int(profile["repetitions"])) if primary else 3
-    cells = []
-    for n_per_pe in ns:
-        for p in ps:
-            candidates = _level_candidates(profile, p)
-            if not primary:
-                candidates = candidates[:1]
-            for levels in candidates:
-                for rep in range(reps):
-                    cells.append(CampaignCell(
-                        experiment="variance", algorithm="ams", p=p,
-                        n_per_pe=n_per_pe, levels=levels, workload=workload,
-                        node_size=int(profile["node_size"]), repetition=rep,
-                    ))
-    return cells
-
-
-def _expand_comparison(profile, workload, primary) -> List[CampaignCell]:
-    ps = tuple(profile["p_values"]) if primary else tuple(profile["p_values"])[:1]
-    n_per_pe = int(profile["n_per_pe_values"][0])
-    reps = min(2, int(profile["repetitions"])) if primary else 1
-    cells = []
-    for p in ps:
-        candidates = _level_candidates(profile, p)
-        if not primary:
-            candidates = tuple(k for k in candidates if k <= 2)
-        for levels in candidates:
-            for rep in range(reps):
-                cells.append(CampaignCell(
-                    experiment="comparison", algorithm="ams", p=p,
-                    n_per_pe=n_per_pe, levels=levels, workload=workload,
-                    node_size=int(profile["node_size"]), repetition=rep,
-                ))
-        for baseline in _BASELINES:
-            for rep in range(reps):
-                cells.append(CampaignCell(
-                    experiment="comparison", algorithm=baseline, p=p,
-                    n_per_pe=n_per_pe, levels=1, workload=workload,
-                    node_size=int(profile["node_size"]), repetition=rep,
-                ))
-    return cells
-
-
-def _expand_level_table(profile, workload, primary) -> List[CampaignCell]:
-    # The plan is workload-invariant; the workload is recorded anyway so
-    # every experiment's rows share the campaign-wide schema.
-    return [
-        CampaignCell(
-            experiment="level_table", kind="plan", algorithm="plan",
-            p=int(PAPER_P_VALUES[0]), n_per_pe=0, levels=k, workload=workload,
-            node_size=16, repetition=0, validate=False,
-        )
-        for k in (1, 2, 3)
-    ]
-
-
-def _expand_faults(profile, workload, primary) -> List[CampaignCell]:
-    """Degradation grid: each algorithm climbs a ladder of fault specs.
-
-    The healthy spec (``""``) is always present — it is the slowdown
-    baseline — and the remaining rungs come from the profile's
-    ``fault_specs`` override (the campaign CLI's ``--faults``) or the
-    default ladders of :mod:`repro.experiments.faults`.
-    """
-    from repro.experiments.faults import DEFAULT_FAULT_SPECS, TRIMMED_FAULT_SPECS
-
-    ps = tuple(profile["p_values"])
-    n_per_pe = int(tuple(profile["n_per_pe_values"])[0])
-    node_size = int(profile["node_size"])
-    if primary:
-        p = int(ps[min(1, len(ps) - 1)])
-        algorithms = ("ams", "rlm", "samplesort")
-        specs = tuple(profile.get("fault_specs", DEFAULT_FAULT_SPECS))
-        reps = min(2, int(profile["repetitions"]))
-    else:
-        p = int(ps[0])
-        algorithms = ("ams", "rlm")
-        specs = tuple(profile.get("fault_specs", TRIMMED_FAULT_SPECS))
-        reps = 1
-    if "" not in specs:
-        specs = ("",) + specs
-    cells = []
-    for algorithm in algorithms:
-        levels = 2 if (algorithm in ("ams", "rlm") and p > node_size) else 1
-        for spec in specs:
-            for rep in range(max(1, reps)):
-                cells.append(CampaignCell(
-                    experiment="faults", algorithm=algorithm, p=p,
-                    n_per_pe=n_per_pe, levels=levels, workload=workload,
-                    node_size=node_size, repetition=rep, faults=spec,
-                ))
-    return cells
-
-
-_EXPANDERS: Dict[str, Callable[..., List[CampaignCell]]] = {
-    "weak_scaling": _expand_weak_scaling,
-    "slowdown": _expand_slowdown,
-    "overpartitioning": _expand_overpartitioning,
-    "variance": _expand_variance,
-    "comparison": _expand_comparison,
-    "level_table": _expand_level_table,
-    "faults": _expand_faults,
-}
-
-
 def expand_campaign(
     profile: Mapping[str, object],
     experiments: Optional[Sequence[str]] = None,
@@ -543,10 +311,10 @@ def expand_campaign(
         experiments = tuple(profile.get("experiments", CAMPAIGN_EXPERIMENTS))
     if workloads is None:
         workloads = tuple(profile.get("workloads", CAMPAIGN_WORKLOADS))
-    unknown = [e for e in experiments if e not in _EXPANDERS]
+    unknown = [e for e in experiments if e not in EXPERIMENT_MODULES]
     if unknown:
         raise KeyError(
-            f"unknown experiments {unknown!r}; known: {sorted(_EXPANDERS)}"
+            f"unknown experiments {unknown!r}; known: {sorted(EXPERIMENT_MODULES)}"
         )
     unknown = [w for w in workloads if w not in WORKLOADS]
     if unknown:
@@ -560,7 +328,7 @@ def expand_campaign(
     cells: List[CampaignCell] = []
     for experiment in experiments:
         for i, workload in enumerate(workloads):
-            for cell in _EXPANDERS[experiment](profile, workload, i == 0):
+            for cell in EXPERIMENT_MODULES[experiment].cells(profile, workload, i == 0):
                 if cell.kind == "sort":
                     cell = replace(
                         cell,
@@ -794,244 +562,6 @@ def execute_cells(
 # ----------------------------------------------------------------------
 # Aggregation: cells -> the paper's rows
 # ----------------------------------------------------------------------
-def _grouped(pairs: Iterable[Tuple[CampaignCell, Dict[str, object]]]):
-    """Group (cell, summary) pairs by the repetition-erased cell, in order."""
-    groups: Dict[CampaignCell, List[Tuple[CampaignCell, Dict[str, object]]]] = {}
-    for cell, summary in pairs:
-        groups.setdefault(cell.group_key(), []).append((cell, summary))
-    for members in groups.values():
-        members.sort(key=lambda cs: cs[0].repetition)
-    return groups
-
-
-def _median_row(members) -> Dict[str, object]:
-    """Median/min/max over repetitions + the median run's detail columns."""
-    times = [float(s["total_time_s"]) for _, s in members]
-    stats = summarize_runs(times)
-    median_idx = int(np.argsort(times)[len(times) // 2])
-    cell, rep = members[median_idx]
-    row: Dict[str, object] = {
-        "workload": cell.workload,
-        "n_per_pe": cell.n_per_pe,
-        "p": cell.p,
-        "levels": cell.levels,
-        "time_median_s": stats["median"],
-        "time_min_s": stats["min"],
-        "time_max_s": stats["max"],
-        "imbalance": rep["imbalance"],
-        "max_startups": rep["traffic"]["max_startups_per_pe"],
-        "max_words": rep["traffic"]["max_words_per_pe"],
-    }
-    for phase, value in rep["phase_times"].items():
-        row[f"phase_{phase}"] = value
-    return row
-
-
-def _aggregate_weak_scaling(pairs) -> Dict[str, List[Dict[str, object]]]:
-    rows = [_median_row(members) for members in _grouped(pairs).values()]
-    best: Dict[tuple, Dict[str, object]] = {}
-    for row in rows:
-        key = (row["workload"], row["n_per_pe"], row["p"])
-        if key not in best or row["time_median_s"] < best[key]["time_median_s"]:
-            best[key] = row
-    best_rows = [
-        {
-            "workload": workload,
-            "n_per_pe": n_per_pe,
-            "p": p,
-            "best_levels": row["levels"],
-            "time_median_s": row["time_median_s"],
-            "imbalance": row["imbalance"],
-            "max_startups": row["max_startups"],
-        }
-        for (workload, n_per_pe, p), row in sorted(
-            best.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-        )
-    ]
-    return {"rows": rows, "best": best_rows}
-
-
-def _aggregate_slowdown(pairs) -> Dict[str, List[Dict[str, object]]]:
-    per_algo: Dict[tuple, Dict[str, object]] = {}
-    for group, members in _grouped(pairs).items():
-        row = _median_row(members)
-        key = (group.workload, group.n_per_pe, group.p, group.algorithm)
-        if key not in per_algo or row["time_median_s"] < per_algo[key]["time_median_s"]:
-            per_algo[key] = row
-    rows = []
-    seen = set()
-    for (workload, n_per_pe, p, _), _row in sorted(per_algo.items()):
-        point = (workload, n_per_pe, p)
-        if point in seen:
-            continue
-        seen.add(point)
-        best_ams = per_algo.get((workload, n_per_pe, p, "ams"))
-        best_rlm = per_algo.get((workload, n_per_pe, p, "rlm"))
-        if best_ams is None or best_rlm is None:
-            continue
-        rows.append(
-            {
-                "workload": workload,
-                "p": p,
-                "n_per_pe": n_per_pe,
-                "ams_levels": best_ams["levels"],
-                "ams_time_s": best_ams["time_median_s"],
-                "rlm_levels": best_rlm["levels"],
-                "rlm_time_s": best_rlm["time_median_s"],
-                "slowdown": slowdown_metric(
-                    float(best_rlm["time_median_s"]), float(best_ams["time_median_s"])
-                ),
-            }
-        )
-    return {"rows": rows}
-
-
-def _aggregate_overpartitioning(pairs) -> Dict[str, List[Dict[str, object]]]:
-    fig10, fig11 = [], []
-    for group, members in _grouped(pairs).items():
-        row = _median_row(members)
-        entry = {
-            "workload": group.workload,
-            "samples_per_pe": group.samples_per_pe,
-            "b": group.overpartitioning,
-            "a": group.oversampling,
-            "imbalance": row["imbalance"],
-            "time_median_s": row["time_median_s"],
-        }
-        if group.series == "fig11":
-            entry["sampling_time_s"] = row.get("phase_splitter_selection", 0.0)
-            fig11.append(entry)
-        else:
-            fig10.append(entry)
-    return {"fig10": fig10, "fig11": fig11}
-
-
-def _aggregate_variance(pairs) -> Dict[str, List[Dict[str, object]]]:
-    rows = []
-    for group, members in _grouped(pairs).items():
-        times = [float(s["total_time_s"]) for _, s in members]
-        stats = summarize_runs(times)
-        rows.append(
-            {
-                "workload": group.workload,
-                "p": group.p,
-                "n_per_pe": group.n_per_pe,
-                "levels": group.levels,
-                "median_s": stats["median"],
-                "min_s": stats["min"],
-                "max_s": stats["max"],
-                "relative_spread": stats["relative_spread"],
-                "runs": stats["runs"],
-            }
-        )
-    return {"rows": rows}
-
-
-def _aggregate_comparison(pairs) -> Dict[str, List[Dict[str, object]]]:
-    per_algo: Dict[tuple, Dict[str, object]] = {}
-    order: List[tuple] = []
-    for group, members in _grouped(pairs).items():
-        row = _median_row(members)
-        key = (group.workload, group.p, group.algorithm)
-        if key not in per_algo:
-            order.append(key)
-            per_algo[key] = row
-        elif row["time_median_s"] < per_algo[key]["time_median_s"]:
-            per_algo[key] = row
-    rows = []
-    for workload, p, algorithm in order:
-        row = per_algo[(workload, p, algorithm)]
-        ams = per_algo.get((workload, p, "ams"))
-        ams_time = float(ams["time_median_s"]) if ams else float("nan")
-        rows.append(
-            {
-                "workload": workload,
-                "p": p,
-                "algorithm": algorithm,
-                "levels": row["levels"],
-                "time_s": row["time_median_s"],
-                "slowdown_vs_ams": float(row["time_median_s"]) / ams_time,
-                "max_startups": row["max_startups"],
-            }
-        )
-    return {"rows": rows}
-
-
-def _aggregate_level_table(pairs) -> Dict[str, List[Dict[str, object]]]:
-    # The plan is workload-invariant, but one row set per workload is kept so
-    # every experiment's rows share the campaign-wide workload column.
-    rows = []
-    for cell, summary in pairs:
-        plans = {int(p): plan for p, plan in summary["plan_by_p"].items()}
-        depth = cell.levels
-        for level in range(depth):
-            row: Dict[str, object] = {
-                "workload": cell.workload,
-                "k": depth,
-                "level": level + 1,
-            }
-            for p in PAPER_P_VALUES:
-                row[f"p={p}"] = plans[p][level] if level < len(plans[p]) else None
-            rows.append(row)
-    return {"rows": rows}
-
-
-def _aggregate_faults(pairs) -> Dict[str, List[Dict[str, object]]]:
-    groups = _grouped(pairs)
-    clean: Dict[tuple, float] = {}
-    for group, members in groups.items():
-        if group.faults == "":
-            times = [float(s["total_time_s"]) for _, s in members]
-            clean[(group.workload, group.algorithm, group.p, group.n_per_pe)] = (
-                float(summarize_runs(times)["median"])
-            )
-    rows = []
-    for group, members in groups.items():
-        times = [float(s["total_time_s"]) for _, s in members]
-        stats = summarize_runs(times)
-        fault_totals: Dict[str, float] = {}
-        for _, summary in members:
-            for key, value in (summary.get("faults") or {}).items():
-                if isinstance(value, (int, float)):
-                    fault_totals[key] = fault_totals.get(key, 0.0) + value
-        base = clean.get((group.workload, group.algorithm, group.p, group.n_per_pe))
-        # None (JSON null) when no healthy baseline exists — never NaN,
-        # which would break golden-trace equality (NaN != NaN).
-        slowdown = float(stats["median"]) / base if base else None
-        rows.append(
-            {
-                "workload": group.workload,
-                "algorithm": group.algorithm,
-                "p": group.p,
-                "n_per_pe": group.n_per_pe,
-                "levels": group.levels,
-                "faults": group.faults,
-                "time_median_s": float(stats["median"]),
-                "slowdown_vs_clean": slowdown,
-                "imbalance": max(float(s["imbalance"]) for _, s in members),
-                "dropped_rounds": int(fault_totals.get("dropped_rounds", 0)),
-                "resent_words": int(fault_totals.get("resent_words", 0)),
-                "degraded_rounds": int(fault_totals.get("degraded_rounds", 0)),
-                "hiccup_events": int(fault_totals.get("hiccup_events", 0)),
-                "timeout_wait_s": float(fault_totals.get("timeout_wait_s", 0.0)),
-                "recovery_s": float(fault_totals.get("recovery_s", 0.0)),
-                "straggle_s": float(fault_totals.get("straggle_s", 0.0)),
-            }
-        )
-    return {"rows": rows}
-
-
-_AGGREGATORS = {
-    "weak_scaling": _aggregate_weak_scaling,
-    "slowdown": _aggregate_slowdown,
-    "overpartitioning": _aggregate_overpartitioning,
-    "variance": _aggregate_variance,
-    "comparison": _aggregate_comparison,
-    "level_table": _aggregate_level_table,
-    "faults": _aggregate_faults,
-}
-
-
 def aggregate_cells(
     cells: Sequence[CampaignCell], summaries: Mapping[str, Mapping[str, object]]
 ) -> Dict[str, Dict[str, List[Dict[str, object]]]]:
@@ -1051,7 +581,7 @@ def aggregate_cells(
             if summary is not None:
                 pairs.append((cell, dict(summary)))
         if pairs:
-            out[experiment] = _AGGREGATORS[experiment](pairs)
+            out[experiment] = EXPERIMENT_MODULES[experiment].aggregate(pairs)
     return out
 
 
@@ -1127,17 +657,6 @@ def campaign_to_json(summary: Mapping[str, object]) -> str:
     return json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
-_SECTION_TITLES = {
-    "weak_scaling": "Table 2 / Figure 8 — AMS-sort weak scaling",
-    "slowdown": "Figure 7 — slowdown of RLM-sort vs AMS-sort",
-    "overpartitioning": "Figures 10/11 — oversampling and overpartitioning",
-    "variance": "Figure 12 — distribution of modelled wall-times",
-    "comparison": "Section 7.3 — AMS-sort vs single-level baselines",
-    "level_table": "Table 1 — group counts r per level",
-    "faults": "Fault degradation — slowdown and recovery cost vs fault rate",
-}
-
-
 def format_campaign(summary: Mapping[str, object]) -> str:
     """Render the campaign summary as the familiar experiment text tables."""
     meta = summary["meta"]
@@ -1152,7 +671,7 @@ def format_campaign(summary: Mapping[str, object]) -> str:
         for section, rows in experiments[experiment].items():
             if not rows:
                 continue
-            title = _SECTION_TITLES[experiment]
+            title = EXPERIMENT_MODULES[experiment].TITLE
             if section not in ("rows",):
                 title += f" [{section}]"
             text.append(format_table(rows, title=title))

@@ -7,8 +7,9 @@ Usage::
     python -m repro.experiments.cli fig7 fig8 fig10 fig11 fig12 sec73
     python -m repro.experiments.cli all --scale medium
 
-    # Sharded campaign: expand every experiment into cells, fan them over
-    # worker processes, cache cell summaries on disk, aggregate the rows.
+    # Each figure is a one-experiment campaign (serial, uncached).  The
+    # full campaign expands every experiment into cells, fans them over
+    # worker processes, caches cell summaries on disk, aggregates the rows.
     python -m repro.experiments.cli campaign --profile quick --jobs 4
 """
 
@@ -17,34 +18,25 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Dict, List
 
-from repro.experiments import (
-    campaign as campaign_mod,
-    comparison,
-    faults as faults_mod,
-    level_table,
-    overpartitioning,
-    slowdown,
-    variance,
-    weak_scaling,
-)
+from repro.experiments import campaign as campaign_mod
 from repro.experiments.harness import SCALE_PROFILES
 from repro.workloads.generators import WORKLOADS
 
 
-EXPERIMENTS: Dict[str, Callable[..., str]] = {
-    "table1": lambda scale=None, workload="uniform": level_table.run(workload=workload),
-    "table2": lambda scale=None, workload="uniform": weak_scaling.run(scale=scale, workload=workload),
-    "fig7": lambda scale=None, workload="uniform": slowdown.run(scale=scale, workload=workload),
-    "fig8": lambda scale=None, workload="uniform": weak_scaling.run(scale=scale, workload=workload),
-    "fig10": lambda scale=None, workload="uniform": overpartitioning.run(scale=scale, workload=workload),
-    "fig11": lambda scale=None, workload="uniform": overpartitioning.run(scale=scale, workload=workload),
-    "fig12": lambda scale=None, workload="uniform": variance.run(scale=scale, workload=workload),
-    "sec73": lambda scale=None, workload="uniform": comparison.run(scale=scale, workload=workload),
-    "faults": lambda scale=None, workload="uniform", **kw: faults_mod.run(
-        scale=scale, workload=workload, **kw
-    ),
+#: The paper's tables and figures, each named by the campaign experiment
+#: that reproduces it.
+EXPERIMENTS: Dict[str, str] = {
+    "table1": "level_table",
+    "table2": "weak_scaling",
+    "fig7": "slowdown",
+    "fig8": "weak_scaling",
+    "fig10": "overpartitioning",
+    "fig11": "overpartitioning",
+    "fig12": "variance",
+    "sec73": "comparison",
+    "faults": "faults",
 }
 
 
@@ -75,7 +67,7 @@ def campaign_main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "--workloads", nargs="+", default=None, choices=sorted(WORKLOADS),
         help="workload axis; the first named workload gets the full grid "
-             "(default: uniform zipf nearly_sorted duplicates staggered)",
+             f"(default: {' '.join(campaign_mod.CAMPAIGN_WORKLOADS)})",
     )
     parser.add_argument(
         "--backend", default=None,
@@ -261,10 +253,8 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "--scale",
         default=None,
-        # The serial figure mode ignores the campaign-only profile keys
-        # (flat-only engine, level policy, validation caps) that make the
-        # 'paper' scale feasible — reaching p=32768 requires the campaign
-        # subcommand.
+        # The 'paper' scale's p=32768 cells run for minutes each; they
+        # belong to the campaign subcommand, whose cache lets them resume.
         choices=sorted(n for n in SCALE_PROFILES if n != "paper"),
         help="scale profile (default: $REPRO_SCALE or 'quick'); "
              "the 'paper' scale is campaign-only",
@@ -296,30 +286,31 @@ def main(argv: List[str] | None = None) -> int:
     names = list(args.experiments)
     if "all" in names:
         names = sorted(EXPERIMENTS)
-    seen = set()
-    ordered = [n for n in names if not (n in seen or seen.add(n))]
+    unknown = [n for n in names if n not in EXPERIMENTS]
+    if unknown:
+        parser.error(
+            f"unknown experiment {unknown[0]!r}; known: {', '.join(sorted(EXPERIMENTS))}"
+        )
+    # Figures sharing one experiment (table2/fig8, fig10/fig11) run it once.
+    experiments = tuple(dict.fromkeys(EXPERIMENTS[n] for n in names))
 
-    extra_kwargs: Dict[str, Dict[str, object]] = {}
     if args.faults is not None:
-        if ordered != ["faults"]:
+        if experiments != ("faults",):
             parser.error("--faults is only valid with the 'faults' experiment alone")
         from repro.sim.faults import parse_fault_spec
 
         for spec in args.faults:
             parse_fault_spec(spec)  # fail fast on bad grammar
-        specs = tuple(args.faults)
-        if "" not in specs:
-            specs = ("",) + specs  # the healthy slowdown baseline
-        extra_kwargs["faults"] = {"fault_specs": specs}
 
-    for name in ordered:
-        if name not in EXPERIMENTS:
-            parser.error(f"unknown experiment {name!r}; known: {', '.join(sorted(EXPERIMENTS))}")
-        print(f"=== {name} ===")
-        print(EXPERIMENTS[name](
-            scale=args.scale, workload=args.workload, **extra_kwargs.get(name, {})
-        ))
-        print()
+    summary, _ = campaign_mod.run_campaign(
+        profile=args.scale,
+        experiments=experiments,
+        workloads=(args.workload,),
+        jobs=1,
+        cache_dir=None,
+        fault_specs=args.faults,
+    )
+    print(campaign_mod.format_campaign(summary))
     return 0
 
 

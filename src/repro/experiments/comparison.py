@@ -19,85 +19,75 @@ what the benchmark checks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from repro.analysis.tables import format_table
-from repro.experiments.harness import ExperimentRunner, RunConfig, scale_profile
+from repro.experiments.harness import (
+    CampaignCell,
+    _grouped,
+    _level_candidates,
+    _median_row,
+)
 
+TITLE = "Section 7.3 — AMS-sort vs single-level baselines"
 
 BASELINES = ("mergesort", "samplesort", "quicksort")
 
 
-def comparison_rows(
-    p_values: Sequence[int],
-    n_per_pe: int,
-    ams_levels: Sequence[int] = (1, 2, 3),
-    baselines: Sequence[str] = BASELINES,
-    node_size: int = 4,
-    repetitions: int = 2,
-    workload: str = "uniform",
-    runner: Optional[ExperimentRunner] = None,
-) -> List[Dict[str, object]]:
-    """One row per (p, algorithm) with time and the slowdown relative to AMS."""
-    runner = runner or ExperimentRunner()
-    rows: List[Dict[str, object]] = []
-    for p in p_values:
-        candidates = [k for k in ams_levels if k == 1 or p > node_size]
-        ams_cfg = RunConfig(
-            algorithm="ams", p=p, n_per_pe=n_per_pe, node_size=node_size,
-            repetitions=repetitions, workload=workload,
-        )
-        best_ams = runner.best_level_time(ams_cfg, candidates)
-        ams_time = float(best_ams["time_median_s"])
+def cells(profile, workload, primary) -> List[CampaignCell]:
+    ps = tuple(profile["p_values"]) if primary else tuple(profile["p_values"])[:1]
+    n_per_pe = int(profile["n_per_pe_values"][0])
+    reps = min(2, int(profile["repetitions"])) if primary else 1
+    cells = []
+    for p in ps:
+        candidates = _level_candidates(profile, p)
+        if not primary:
+            candidates = tuple(k for k in candidates if k <= 2)
+        for levels in candidates:
+            for rep in range(reps):
+                cells.append(CampaignCell(
+                    experiment="comparison", algorithm="ams", p=p,
+                    n_per_pe=n_per_pe, levels=levels, workload=workload,
+                    node_size=int(profile["node_size"]), repetition=rep,
+                ))
+        for baseline in BASELINES:
+            for rep in range(reps):
+                cells.append(CampaignCell(
+                    experiment="comparison", algorithm=baseline, p=p,
+                    n_per_pe=n_per_pe, levels=1, workload=workload,
+                    node_size=int(profile["node_size"]), repetition=rep,
+                ))
+    return cells
+
+
+def aggregate(pairs) -> Dict[str, List[Dict[str, object]]]:
+    per_algo: Dict[tuple, Dict[str, object]] = {}
+    order: List[tuple] = []
+    for group, members in _grouped(pairs).items():
+        row = _median_row(members)
+        key = (group.workload, group.p, group.algorithm)
+        if key not in per_algo:
+            order.append(key)
+            per_algo[key] = row
+        elif row["time_median_s"] < per_algo[key]["time_median_s"]:
+            per_algo[key] = row
+    rows = []
+    for workload, p, algorithm in order:
+        row = per_algo[(workload, p, algorithm)]
+        ams = per_algo.get((workload, p, "ams"))
         rows.append(
             {
-                "p": p,
-                "algorithm": "ams",
                 "workload": workload,
-                "levels": best_ams["levels"],
-                "time_s": ams_time,
-                "slowdown_vs_ams": 1.0,
-                "max_startups": best_ams["max_startups"],
+                "p": p,
+                "algorithm": algorithm,
+                "levels": row["levels"],
+                "time_s": row["time_median_s"],
+                # None (JSON null) when the point's AMS cells are missing
+                # (quarantined) — never NaN, which is not valid JSON.
+                "slowdown_vs_ams": (
+                    float(row["time_median_s"]) / float(ams["time_median_s"])
+                    if ams else None
+                ),
+                "max_startups": row["max_startups"],
             }
         )
-        for baseline in baselines:
-            cfg = RunConfig(
-                algorithm=baseline, p=p, n_per_pe=n_per_pe, node_size=node_size,
-                repetitions=repetitions, levels=1, workload=workload,
-            )
-            row = runner.run(cfg)
-            rows.append(
-                {
-                    "p": p,
-                    "algorithm": baseline,
-                    "workload": workload,
-                    "levels": 1,
-                    "time_s": row["time_median_s"],
-                    "slowdown_vs_ams": float(row["time_median_s"]) / ams_time,
-                    "max_startups": row["max_startups"],
-                }
-            )
-    return rows
-
-
-def run(scale: Optional[str] = None, workload: str = "uniform") -> str:
-    """Run the scaled Section 7.3 comparison and return the formatted table."""
-    profile = scale_profile(scale)
-    rows = comparison_rows(
-        p_values=profile["p_values"],
-        n_per_pe=int(profile["n_per_pe_values"][0]),
-        node_size=int(profile["node_size"]),
-        workload=workload,
-    )
-    return format_table(
-        rows,
-        title=(
-            "Section 7.3 (scaled) — AMS-sort vs single-level baselines "
-            "(MP-sort style mergesort, centralized sample sort, parallel quicksort) "
-            "at small n/p; the single-level slowdown grows with p"
-        ),
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run())
+    return {"rows": rows}

@@ -19,11 +19,12 @@ exposed by failure recovery instead of message startups.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.analysis.metrics import summarize_runs
-from repro.analysis.tables import format_table
-from repro.experiments.harness import ExperimentRunner, RunConfig, scale_profile
+from repro.experiments.harness import CampaignCell, _grouped
+
+TITLE = "Fault degradation — slowdown and recovery cost vs fault rate"
 
 
 #: Default fault-spec ladder of the degradation experiment.  The empty spec
@@ -51,106 +52,82 @@ TRIMMED_FAULT_SPECS: Sequence[str] = (
 )
 
 
-def degradation_rows(
-    p: int,
-    n_per_pe: int,
-    algorithms: Sequence[str] = ("ams", "rlm", "samplesort"),
-    fault_specs: Sequence[str] = DEFAULT_FAULT_SPECS,
-    levels: int = 2,
-    node_size: int = 4,
-    repetitions: int = 2,
-    workload: str = "uniform",
-    runner: Optional[ExperimentRunner] = None,
-) -> List[Dict[str, object]]:
-    """One row per (algorithm, fault spec) with slowdown and recovery tallies.
+def cells(profile, workload, primary) -> List[CampaignCell]:
+    """Degradation grid: each algorithm climbs a ladder of fault specs.
 
-    The fault-free spec (``""``) should come first in ``fault_specs``; its
-    median time is the baseline of each algorithm's ``slowdown_vs_clean``
-    column (``None`` when an algorithm has no clean baseline in the ladder).
+    The healthy spec (``""``) is always present — it is the slowdown
+    baseline — and the remaining rungs come from the profile's
+    ``fault_specs`` override (the campaign CLI's ``--faults``) or the
+    default ladders above.
     """
-    runner = runner or ExperimentRunner()
-    specs = list(fault_specs)
-    rows: List[Dict[str, object]] = []
+    ps = tuple(profile["p_values"])
+    n_per_pe = int(tuple(profile["n_per_pe_values"])[0])
+    node_size = int(profile["node_size"])
+    if primary:
+        p = int(ps[min(1, len(ps) - 1)])
+        algorithms = ("ams", "rlm", "samplesort")
+        specs = tuple(profile.get("fault_specs", DEFAULT_FAULT_SPECS))
+        reps = min(2, int(profile["repetitions"]))
+    else:
+        p = int(ps[0])
+        algorithms = ("ams", "rlm")
+        specs = tuple(profile.get("fault_specs", TRIMMED_FAULT_SPECS))
+        reps = 1
+    if "" not in specs:
+        specs = ("",) + specs
+    cells = []
     for algorithm in algorithms:
-        algo_levels = levels if algorithm in ("ams", "rlm") else 1
-        clean_median: Optional[float] = None
+        levels = 2 if (algorithm in ("ams", "rlm") and p > node_size) else 1
         for spec in specs:
-            cfg = RunConfig(
-                algorithm=algorithm,
-                p=p,
-                n_per_pe=n_per_pe,
-                levels=algo_levels,
-                node_size=node_size,
-                repetitions=repetitions,
-                workload=workload,
-                faults=spec,
+            for rep in range(max(1, reps)):
+                cells.append(CampaignCell(
+                    experiment="faults", algorithm=algorithm, p=p,
+                    n_per_pe=n_per_pe, levels=levels, workload=workload,
+                    node_size=node_size, repetition=rep, faults=spec,
+                ))
+    return cells
+
+
+def aggregate(pairs) -> Dict[str, List[Dict[str, object]]]:
+    groups = _grouped(pairs)
+    clean: Dict[tuple, float] = {}
+    for group, members in groups.items():
+        if group.faults == "":
+            times = [float(s["total_time_s"]) for _, s in members]
+            clean[(group.workload, group.algorithm, group.p, group.n_per_pe)] = (
+                float(summarize_runs(times)["median"])
             )
-            results = [
-                runner.run_once(cfg, rep) for rep in range(max(1, repetitions))
-            ]
-            stats = summarize_runs([r.total_time for r in results])
-            fault_totals: Dict[str, float] = {}
-            for r in results:
-                for key, value in r.faults.items():
-                    if isinstance(value, (int, float)):
-                        fault_totals[key] = fault_totals.get(key, 0.0) + value
-            median = float(stats["median"])
-            if spec == "":
-                clean_median = median
-            slowdown = (
-                median / clean_median
-                if clean_median is not None and clean_median > 0
-                else None
-            )
-            rows.append(
-                {
-                    "algorithm": algorithm,
-                    "levels": algo_levels,
-                    "p": p,
-                    "n_per_pe": n_per_pe,
-                    "workload": workload,
-                    "faults": spec,
-                    "time_median_s": median,
-                    "slowdown_vs_clean": slowdown,
-                    "imbalance": float(
-                        max(r.imbalance for r in results)
-                    ),
-                    "dropped_rounds": int(fault_totals.get("dropped_rounds", 0)),
-                    "resent_words": int(fault_totals.get("resent_words", 0)),
-                    "degraded_rounds": int(fault_totals.get("degraded_rounds", 0)),
-                    "hiccup_events": int(fault_totals.get("hiccup_events", 0)),
-                    "timeout_wait_s": float(fault_totals.get("timeout_wait_s", 0.0)),
-                    "recovery_s": float(fault_totals.get("recovery_s", 0.0)),
-                    "straggle_s": float(fault_totals.get("straggle_s", 0.0)),
-                }
-            )
-    return rows
-
-
-def run(
-    scale: Optional[str] = None,
-    workload: str = "uniform",
-    fault_specs: Sequence[str] = DEFAULT_FAULT_SPECS,
-) -> str:
-    """Run the scaled degradation experiment and return the formatted table."""
-    profile = scale_profile(scale)
-    p_values = profile["p_values"]
-    rows = degradation_rows(
-        p=int(p_values[min(1, len(p_values) - 1)]),
-        n_per_pe=int(profile["n_per_pe_values"][0]),
-        node_size=int(profile["node_size"]),
-        repetitions=min(2, int(profile["repetitions"])),
-        workload=workload,
-        fault_specs=fault_specs,
-    )
-    return format_table(
-        rows,
-        title=(
-            "Fault degradation — modelled slowdown and recovery cost vs "
-            "injected fault rate"
-        ),
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run())
+    rows = []
+    for group, members in groups.items():
+        times = [float(s["total_time_s"]) for _, s in members]
+        stats = summarize_runs(times)
+        fault_totals: Dict[str, float] = {}
+        for _, summary in members:
+            for key, value in (summary.get("faults") or {}).items():
+                if isinstance(value, (int, float)):
+                    fault_totals[key] = fault_totals.get(key, 0.0) + value
+        base = clean.get((group.workload, group.algorithm, group.p, group.n_per_pe))
+        # None (JSON null) when no healthy baseline exists — never NaN,
+        # which would break golden-trace equality (NaN != NaN).
+        slowdown = float(stats["median"]) / base if base else None
+        rows.append(
+            {
+                "workload": group.workload,
+                "algorithm": group.algorithm,
+                "p": group.p,
+                "n_per_pe": group.n_per_pe,
+                "levels": group.levels,
+                "faults": group.faults,
+                "time_median_s": float(stats["median"]),
+                "slowdown_vs_clean": slowdown,
+                "imbalance": max(float(s["imbalance"]) for _, s in members),
+                "dropped_rounds": int(fault_totals.get("dropped_rounds", 0)),
+                "resent_words": int(fault_totals.get("resent_words", 0)),
+                "degraded_rounds": int(fault_totals.get("degraded_rounds", 0)),
+                "hiccup_events": int(fault_totals.get("hiccup_events", 0)),
+                "timeout_wait_s": float(fault_totals.get("timeout_wait_s", 0.0)),
+                "recovery_s": float(fault_totals.get("recovery_s", 0.0)),
+                "straggle_s": float(fault_totals.get("straggle_s", 0.0)),
+            }
+        )
+    return {"rows": rows}

@@ -1,19 +1,20 @@
-"""Shared experiment infrastructure: configurations, repetitions, medians."""
+"""Shared experiment infrastructure: scale profiles, the cell spec, medians.
+
+Every experiment module defines ``cells(profile, workload, primary)`` and
+``aggregate(pairs)`` on top of the helpers here;
+:mod:`repro.experiments.campaign` executes the cells and calls the
+aggregations.
+"""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.metrics import summarize_runs
-from repro.core.config import AMSConfig, RLMConfig
-from repro.core.runner import SortResult, run_on_machine
-from repro.machine.spec import MachineSpec, supermuc_like
-from repro.sim.machine import SimulatedMachine
-from repro.workloads.generators import per_pe_workload
 
 
 #: Scaled-down stand-ins for the paper's configurations.  The paper runs
@@ -119,171 +120,103 @@ def scale_profile(name: Optional[str] = None) -> Dict[str, object]:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """One experiment configuration (algorithm + machine + workload)."""
+class CampaignCell:
+    """One unit of campaign work: a single repetition of a single config.
 
+    ``kind == "sort"`` cells run one sorting algorithm on the simulator;
+    ``kind == "plan"`` cells (level table) compute level plans only.  The
+    ``seed`` is derived from the identity fields by
+    :func:`~repro.experiments.campaign.derive_cell_seed` at expansion time,
+    so a cell is self-contained: any process can execute it and obtain the
+    same summary.
+    """
+
+    experiment: str
+    kind: str = "sort"
+    machine: str = "supermuc"
     algorithm: str = "ams"
-    p: int = 64
+    p: int = 16
     n_per_pe: int = 1000
     levels: int = 2
     workload: str = "uniform"
     node_size: int = 4
+    repetition: int = 0
+    series: str = ""
     delivery: str = "deterministic"
-    repetitions: int = 3
-    seed: int = 0
-    spec: Optional[MachineSpec] = None
     overpartitioning: Optional[int] = None
     oversampling: Optional[float] = None
-    validate: bool = True
+    samples_per_pe: Optional[int] = None
     engine: str = "flat"
-    #: Fault-injection spec string (see :mod:`repro.sim.faults`); empty = healthy.
+    validate: bool = True
+    determinism_check: bool = False
+    #: Fault-injection spec string (see :mod:`repro.sim.faults`); "" = healthy.
     faults: str = ""
+    seed: int = 0
 
-    def label(self) -> str:
-        """Short human readable identifier."""
-        base = (
-            f"{self.algorithm}-k{self.levels}-p{self.p}-n{self.n_per_pe}"
-            f"-{self.workload}"
-        )
-        return f"{base}-faults[{self.faults}]" if self.faults else base
+    def to_dict(self) -> Dict[str, object]:
+        return asdict(self)
 
+    @classmethod
+    def from_dict(cls, d: Mapping[str, object]) -> "CampaignCell":
+        return cls(**d)  # type: ignore[arg-type]
 
-def build_algo_config(
-    algorithm: str,
-    p: int,
-    n_per_pe: int,
-    levels: int,
-    node_size: int,
-    delivery: str = "deterministic",
-    overpartitioning: Optional[int] = None,
-    oversampling: Optional[float] = None,
-):
-    """Algorithm config for one run (shared by the harness and campaign cells).
-
-    Baselines take no config (``None``); AMS-sort optionally gets explicit
-    sampling parameters when the experiment sweeps them.
-    """
-    if algorithm == "ams":
-        sampling = None
-        if overpartitioning is not None or oversampling is not None:
-            from repro.blocks.sampling import SamplingParams, default_oversampling
-
-            sampling = SamplingParams(
-                oversampling=(
-                    oversampling
-                    if oversampling is not None
-                    else default_oversampling(p * n_per_pe)
-                ),
-                overpartitioning=(
-                    overpartitioning if overpartitioning is not None else 16
-                ),
-                per_pe=True,
-            )
-        return AMSConfig(
-            levels=levels, node_size=node_size, delivery=delivery, sampling=sampling
-        )
-    if algorithm == "rlm":
-        return RLMConfig(levels=levels, node_size=node_size, delivery=delivery)
-    return None
+    def group_key(self) -> "CampaignCell":
+        """The cell with repetition/seed erased: the aggregation group."""
+        return replace(self, repetition=0, seed=0)
 
 
-class ExperimentRunner:
-    """Runs :class:`RunConfig` objects, repeating and aggregating results."""
+def _level_candidates(
+    profile: Mapping[str, object], p: int, counts: Sequence[int] = (1, 2, 3)
+) -> Tuple[int, ...]:
+    policy = profile.get("level_counts")
+    if policy == "paper":
+        # Table 1: three levels at the largest machine (p = 2^15), two below.
+        return (3,) if p > 8192 else (2,)
+    if policy:
+        counts = tuple(policy)  # type: ignore[arg-type]
+    node = int(profile["node_size"])
+    return tuple(k for k in counts if k == 1 or p > node)
 
-    def __init__(self, spec: Optional[MachineSpec] = None, verbose: bool = False):
-        self.spec = spec if spec is not None else supermuc_like()
-        self.verbose = verbose
 
-    # ------------------------------------------------------------------
-    def _build_config(self, cfg: RunConfig):
-        return build_algo_config(
-            cfg.algorithm,
-            p=cfg.p,
-            n_per_pe=cfg.n_per_pe,
-            levels=cfg.levels,
-            node_size=cfg.node_size,
-            delivery=cfg.delivery,
-            overpartitioning=cfg.overpartitioning,
-            oversampling=cfg.oversampling,
-        )
+def _grid(profile: Mapping[str, object], primary: bool):
+    """(p_values, n_per_pe_values, repetitions) — full grid for the primary
+    workload, a trimmed one (small machines/inputs) for the others."""
+    ps = tuple(profile["p_values"])
+    ns = tuple(profile["n_per_pe_values"])
+    reps = int(profile["repetitions"])
+    if primary:
+        return ps, ns, reps
+    return ps[:2], ns[:1], min(2, reps)
 
-    def run_once(self, cfg: RunConfig, repetition: int = 0) -> SortResult:
-        """Run one repetition of a configuration and return its result."""
-        spec = cfg.spec if cfg.spec is not None else self.spec
-        machine = SimulatedMachine(
-            cfg.p, spec=spec, seed=cfg.seed + repetition,
-            faults=cfg.faults or None,
-        )
-        local_data = per_pe_workload(
-            cfg.workload, cfg.p, cfg.n_per_pe, seed=cfg.seed + 1000 * repetition
-        )
-        algo_config = self._build_config(cfg)
-        result = run_on_machine(
-            machine,
-            local_data,
-            algorithm=cfg.algorithm,
-            config=algo_config,
-            validate=cfg.validate,
-            engine=cfg.engine,
-        )
-        result.params.update(
-            {
-                "workload": cfg.workload,
-                "repetition": repetition,
-                "levels": cfg.levels,
-            }
-        )
-        if self.verbose:  # pragma: no cover - logging only
-            print(f"  {cfg.label()} rep {repetition}: {result.total_time:.6f} s")
-        return result
 
-    def run(self, cfg: RunConfig) -> Dict[str, object]:
-        """Run all repetitions of a configuration and aggregate the outcome.
+def _grouped(pairs: Iterable[Tuple[CampaignCell, Dict[str, object]]]):
+    """Group (cell, summary) pairs by the repetition-erased cell, in order."""
+    groups: Dict[CampaignCell, List[Tuple[CampaignCell, Dict[str, object]]]] = {}
+    for cell, summary in pairs:
+        groups.setdefault(cell.group_key(), []).append((cell, summary))
+    for members in groups.values():
+        members.sort(key=lambda cs: cs[0].repetition)
+    return groups
 
-        Returns a flat result row: median/min/max modelled time, per-phase
-        medians, output imbalance and traffic statistics.
-        """
-        results = [self.run_once(cfg, rep) for rep in range(max(1, cfg.repetitions))]
-        times = [r.total_time for r in results]
-        stats = summarize_runs(times)
-        median_idx = int(np.argsort(times)[len(times) // 2])
-        representative = results[median_idx]
-        row: Dict[str, object] = {
-            "algorithm": cfg.algorithm,
-            "levels": cfg.levels,
-            "p": cfg.p,
-            "n_per_pe": cfg.n_per_pe,
-            "workload": cfg.workload,
-            "time_median_s": stats["median"],
-            "time_min_s": stats["min"],
-            "time_max_s": stats["max"],
-            "imbalance": representative.imbalance,
-            "max_startups": representative.traffic["max_startups_per_pe"],
-            "max_words": representative.traffic["max_words_per_pe"],
-        }
-        for phase, value in representative.phase_times.items():
-            row[f"phase_{phase}"] = value
-        return row
 
-    def run_grid(self, configs: Sequence[RunConfig]) -> List[Dict[str, object]]:
-        """Run a list of configurations, returning one row per configuration."""
-        return [self.run(cfg) for cfg in configs]
-
-    # ------------------------------------------------------------------
-    def best_level_time(
-        self, cfg: RunConfig, level_candidates: Sequence[int]
-    ) -> Dict[str, object]:
-        """Run a configuration for several level counts and keep the fastest.
-
-        The paper's Table 2 / Figure 7 report, for every ``(p, n/p)``, the
-        best choice among 1-3 levels.
-        """
-        best_row: Optional[Dict[str, object]] = None
-        for levels in level_candidates:
-            if levels < 1:
-                continue
-            row = self.run(replace(cfg, levels=levels))
-            if best_row is None or row["time_median_s"] < best_row["time_median_s"]:
-                best_row = row
-        assert best_row is not None
-        return best_row
+def _median_row(members) -> Dict[str, object]:
+    """Median/min/max over repetitions + the median run's detail columns."""
+    times = [float(s["total_time_s"]) for _, s in members]
+    stats = summarize_runs(times)
+    median_idx = int(np.argsort(times)[len(times) // 2])
+    cell, rep = members[median_idx]
+    row: Dict[str, object] = {
+        "workload": cell.workload,
+        "n_per_pe": cell.n_per_pe,
+        "p": cell.p,
+        "levels": cell.levels,
+        "time_median_s": stats["median"],
+        "time_min_s": stats["min"],
+        "time_max_s": stats["max"],
+        "imbalance": rep["imbalance"],
+        "max_startups": rep["traffic"]["max_startups_per_pe"],
+        "max_words": rep["traffic"]["max_words_per_pe"],
+    }
+    for phase, value in rep["phase_times"].items():
+        row[f"phase_{phase}"] = value
+    return row

@@ -1,12 +1,18 @@
-"""Table 1: selection of the group count ``r`` per level for weak scaling."""
+"""Table 1: selection of the group count ``r`` per level for weak scaling.
+
+The rows hold our :func:`~repro.core.config.level_plan` for the paper's
+machine sizes; :data:`PAPER_TABLE1` holds the paper's values.  The paper's
+k=1 row lists the node size (16); a single-level algorithm must split into
+r=p groups to finish in one level, which is what ``level_plan`` returns.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from repro.analysis.tables import format_table
-from repro.core.config import level_plan
+from repro.experiments.harness import PAPER_P_VALUES, CampaignCell
 
+TITLE = "Table 1 — group counts r per level"
 
 #: The r-values listed in Table 1 of the paper (levels are 1-indexed).
 PAPER_TABLE1: Dict[int, Dict[int, List[int]]] = {
@@ -16,47 +22,33 @@ PAPER_TABLE1: Dict[int, Dict[int, List[int]]] = {
 }
 
 
-def level_table_rows(
-    p_values: Sequence[int] = (512, 2048, 8192, 32768),
-    level_counts: Sequence[int] = (1, 2, 3),
-    node_size: int = 16,
-) -> List[Dict[str, object]]:
-    """Rows comparing our :func:`level_plan` with the paper's Table 1."""
-    rows: List[Dict[str, object]] = []
-    for k in level_counts:
-        for level in range(k):
-            row: Dict[str, object] = {"k": k, "level": level + 1}
-            for p in p_values:
-                ours = level_plan(p, k, node_size=node_size)
-                row[f"p={p}"] = ours[level]
-                paper = PAPER_TABLE1.get(k, {}).get(p)
-                if paper is not None and level < len(paper):
-                    row[f"paper p={p}"] = paper[level]
+def cells(profile, workload, primary) -> List[CampaignCell]:
+    # The plan is workload-invariant; the workload is recorded anyway so
+    # every experiment's rows share the campaign-wide schema.
+    return [
+        CampaignCell(
+            experiment="level_table", kind="plan", algorithm="plan",
+            p=int(PAPER_P_VALUES[0]), n_per_pe=0, levels=k, workload=workload,
+            node_size=16, repetition=0, validate=False,
+        )
+        for k in (1, 2, 3)
+    ]
+
+
+def aggregate(pairs) -> Dict[str, List[Dict[str, object]]]:
+    # The plan is workload-invariant, but one row set per workload is kept so
+    # every experiment's rows share the campaign-wide workload column.
+    rows = []
+    for cell, summary in pairs:
+        plans = {int(p): plan for p, plan in summary["plan_by_p"].items()}
+        depth = cell.levels
+        for level in range(depth):
+            row: Dict[str, object] = {
+                "workload": cell.workload,
+                "k": depth,
+                "level": level + 1,
+            }
+            for p in PAPER_P_VALUES:
+                row[f"p={p}"] = plans[p][level] if level < len(plans[p]) else None
             rows.append(row)
-    return rows
-
-
-def run(
-    p_values: Optional[Sequence[int]] = None,
-    node_size: int = 16,
-    workload: Optional[str] = None,
-) -> str:
-    """Produce the Table 1 comparison as formatted text.
-
-    ``workload`` is accepted for CLI uniformity with the other experiments
-    but has no effect: the level plan depends only on the machine shape.
-    """
-    if p_values is None:
-        p_values = (512, 2048, 8192, 32768)
-    rows = level_table_rows(p_values=p_values, node_size=node_size)
-    note = (
-        "Table 1 — group counts r per level (ours vs. paper).\n"
-        "Note: the paper's k=1 row lists the node size (16); a single-level\n"
-        "algorithm must split into r=p groups to finish in one level, which\n"
-        "is what level_plan() returns for k=1.\n"
-    )
-    return note + format_table(rows)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run())
+    return {"rows": rows}

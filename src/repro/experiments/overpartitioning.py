@@ -10,126 +10,75 @@ sweeps the number of samples per process ``a * b``:
   alone) for oversampling factors ``a`` in {1, 8, 16} — more samples first
   help (better balance) and eventually hurt (sample sorting dominates).
 
-The scaled reproduction sweeps the same parameters on a smaller machine.
+The scaled reproduction sweeps the same parameters on the profile's smallest
+machine.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from repro.analysis.tables import format_table
-from repro.experiments.harness import ExperimentRunner, RunConfig, scale_profile
-from repro.machine.counters import PHASE_SPLITTER_SELECTION
+from repro.experiments.harness import CampaignCell, _grouped, _median_row
 
-
-def imbalance_sweep_rows(
-    p: int,
-    n_per_pe: int,
-    b_values: Sequence[int] = (1, 8, 16),
-    samples_per_pe_values: Sequence[int] = (4, 16, 64, 256, 1024),
-    levels: int = 1,
-    node_size: int = 4,
-    repetitions: int = 2,
-    workload: str = "uniform",
-    runner: Optional[ExperimentRunner] = None,
-) -> List[Dict[str, object]]:
-    """Figure 10: maximum output imbalance vs samples per PE for several ``b``."""
-    runner = runner or ExperimentRunner()
-    rows: List[Dict[str, object]] = []
-    for b in b_values:
-        for ab in samples_per_pe_values:
-            a = max(ab / b, 0.25)
-            cfg = RunConfig(
-                algorithm="ams",
-                p=p,
-                n_per_pe=n_per_pe,
-                levels=levels,
-                node_size=node_size,
-                repetitions=repetitions,
-                overpartitioning=int(b),
-                oversampling=float(a),
-                workload=workload,
-            )
-            row = runner.run(cfg)
-            rows.append(
-                {
-                    "samples_per_pe": ab,
-                    "b": b,
-                    "a": a,
-                    "workload": workload,
-                    "imbalance": row["imbalance"],
-                    "time_median_s": row["time_median_s"],
-                }
-            )
-    return rows
+TITLE = "Figures 10/11 — oversampling and overpartitioning"
 
 
-def walltime_sweep_rows(
-    p: int,
-    n_per_pe: int,
-    a_values: Sequence[float] = (1.0, 8.0, 16.0),
-    samples_per_pe_values: Sequence[int] = (4, 16, 64, 256, 1024),
-    levels: int = 1,
-    node_size: int = 4,
-    repetitions: int = 2,
-    workload: str = "uniform",
-    runner: Optional[ExperimentRunner] = None,
-) -> List[Dict[str, object]]:
-    """Figure 11: total wall-time and splitter-selection time vs samples per PE."""
-    runner = runner or ExperimentRunner()
-    rows: List[Dict[str, object]] = []
-    for a in a_values:
-        for ab in samples_per_pe_values:
-            b = max(1, int(round(ab / a)))
-            cfg = RunConfig(
-                algorithm="ams",
-                p=p,
-                n_per_pe=n_per_pe,
-                levels=levels,
-                node_size=node_size,
-                repetitions=repetitions,
-                overpartitioning=b,
-                oversampling=float(a),
-                workload=workload,
-            )
-            row = runner.run(cfg)
-            rows.append(
-                {
-                    "samples_per_pe": ab,
-                    "a": a,
-                    "b": b,
-                    "workload": workload,
-                    "total_time_s": row["time_median_s"],
-                    "sampling_time_s": row.get(f"phase_{PHASE_SPLITTER_SELECTION}", 0.0),
-                    "imbalance": row["imbalance"],
-                }
-            )
-    return rows
-
-
-def run(scale: Optional[str] = None, workload: str = "uniform") -> str:
-    """Run the scaled Figures 10/11 sweeps and return formatted tables."""
-    profile = scale_profile(scale)
-    p = int(profile["p_values"][0])
-    n_per_pe = int(profile["n_per_pe_values"][min(1, len(profile["n_per_pe_values"]) - 1)])
+def cells(profile, workload, primary) -> List[CampaignCell]:
+    ps = tuple(profile["p_values"])
+    ns = tuple(profile["n_per_pe_values"])
+    p = int(ps[0])
+    n_per_pe = int(ns[min(1, len(ns) - 1)])
     node_size = int(profile["node_size"])
-    text = []
-    text.append(format_table(
-        imbalance_sweep_rows(p, n_per_pe, node_size=node_size, workload=workload),
-        title=(
-            f"Figure 10 (scaled, p={p}, n/p={n_per_pe}) — maximum imbalance vs "
-            "samples per PE (overpartitioning b reduces imbalance)"
-        ),
-    ))
-    text.append(format_table(
-        walltime_sweep_rows(p, n_per_pe, node_size=node_size, workload=workload),
-        title=(
-            f"Figure 11 (scaled, p={p}, n/p={n_per_pe}) — wall-time and "
-            "splitter-selection time vs samples per PE"
-        ),
-    ))
-    return "\n".join(text)
+    reps = min(2, int(profile["repetitions"])) if primary else 1
+    cells = []
+    if primary:
+        b_values, samples = (1, 8, 16), (4, 16, 64, 256)
+        a_values = (1.0, 8.0, 16.0)
+    else:
+        b_values, samples = (1, 8), (16, 64)
+        a_values = ()
+    # Figure 10: imbalance vs samples per PE for several overpartitioning b.
+    for b in b_values:
+        for ab in samples:
+            a = max(ab / b, 0.25)
+            for rep in range(reps):
+                cells.append(CampaignCell(
+                    experiment="overpartitioning", series="fig10", algorithm="ams",
+                    p=p, n_per_pe=n_per_pe, levels=1, workload=workload,
+                    node_size=node_size, repetition=rep,
+                    overpartitioning=int(b), oversampling=float(a),
+                    samples_per_pe=int(ab),
+                ))
+    # Figure 11: wall-time vs samples per PE for several oversampling a.
+    for a in a_values:
+        for ab in samples:
+            b = max(1, int(round(ab / a)))
+            for rep in range(reps):
+                cells.append(CampaignCell(
+                    experiment="overpartitioning", series="fig11", algorithm="ams",
+                    p=p, n_per_pe=n_per_pe, levels=1, workload=workload,
+                    node_size=node_size, repetition=rep,
+                    overpartitioning=int(b), oversampling=float(a),
+                    samples_per_pe=int(ab),
+                ))
+    return cells
 
 
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run())
+def aggregate(pairs) -> Dict[str, List[Dict[str, object]]]:
+    fig10, fig11 = [], []
+    for group, members in _grouped(pairs).items():
+        row = _median_row(members)
+        entry = {
+            "workload": group.workload,
+            "samples_per_pe": group.samples_per_pe,
+            "b": group.overpartitioning,
+            "a": group.oversampling,
+            "imbalance": row["imbalance"],
+            "time_median_s": row["time_median_s"],
+        }
+        if group.series == "fig11":
+            entry["sampling_time_s"] = row.get("phase_splitter_selection", 0.0)
+            fig11.append(entry)
+        else:
+            fig10.append(entry)
+    return {"fig10": fig10, "fig11": fig11}

@@ -8,79 +8,73 @@ matching the ``log^2 p`` gap between the isoefficiency functions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.analysis.metrics import slowdown as slowdown_metric
-from repro.analysis.tables import format_table
-from repro.experiments.harness import ExperimentRunner, RunConfig, scale_profile
+from repro.experiments.harness import (
+    CampaignCell,
+    _grid,
+    _grouped,
+    _level_candidates,
+    _median_row,
+)
+
+TITLE = "Figure 7 — slowdown of RLM-sort vs AMS-sort"
 
 
-def slowdown_rows(
-    p_values: Sequence[int],
-    n_per_pe_values: Sequence[int],
-    level_counts: Sequence[int] = (1, 2, 3),
-    repetitions: int = 3,
-    node_size: int = 4,
-    workload: str = "uniform",
-    runner: Optional[ExperimentRunner] = None,
-) -> List[Dict[str, object]]:
-    """One row per (p, n/p): best AMS time, best RLM time and the slowdown."""
-    runner = runner or ExperimentRunner()
-    rows: List[Dict[str, object]] = []
-    for n_per_pe in n_per_pe_values:
-        for p in p_values:
-            candidates = [k for k in level_counts if k == 1 or p > node_size]
-            ams_cfg = RunConfig(
-                algorithm="ams", p=p, n_per_pe=n_per_pe, node_size=node_size,
-                repetitions=repetitions, workload=workload,
-            )
-            rlm_cfg = RunConfig(
-                algorithm="rlm", p=p, n_per_pe=n_per_pe, node_size=node_size,
-                repetitions=repetitions, workload=workload,
-            )
-            best_ams = runner.best_level_time(ams_cfg, candidates)
-            best_rlm = runner.best_level_time(rlm_cfg, candidates)
-            rows.append(
-                {
-                    "p": p,
-                    "n_per_pe": n_per_pe,
-                    "workload": workload,
-                    "ams_levels": best_ams["levels"],
-                    "ams_time_s": best_ams["time_median_s"],
-                    "rlm_levels": best_rlm["levels"],
-                    "rlm_time_s": best_rlm["time_median_s"],
-                    "slowdown": slowdown_metric(
-                        float(best_rlm["time_median_s"]), float(best_ams["time_median_s"])
-                    ),
-                }
-            )
-    return rows
+def cells(profile, workload, primary) -> List[CampaignCell]:
+    ps, ns, reps = _grid(profile, primary)
+    if primary:
+        ps, ns = ps, ns[:2]
+    else:
+        ps, ns = ps[:1], ns[:1]
+    cells = []
+    for n_per_pe in ns:
+        for p in ps:
+            candidates = _level_candidates(profile, p)
+            if not primary:
+                candidates = tuple(k for k in candidates if k <= 2)
+            for algorithm in ("ams", "rlm"):
+                for levels in candidates:
+                    for rep in range(max(1, reps)):
+                        cells.append(CampaignCell(
+                            experiment="slowdown", algorithm=algorithm, p=p,
+                            n_per_pe=n_per_pe, levels=levels, workload=workload,
+                            node_size=int(profile["node_size"]), repetition=rep,
+                        ))
+    return cells
 
 
-def run(
-    scale: Optional[str] = None,
-    repetitions: Optional[int] = None,
-    workload: str = "uniform",
-) -> str:
-    """Run the scaled Figure 7 experiment and return the formatted series."""
-    profile = scale_profile(scale)
-    reps = repetitions if repetitions is not None else int(profile["repetitions"])
-    rows = slowdown_rows(
-        p_values=profile["p_values"],
-        n_per_pe_values=profile["n_per_pe_values"],
-        repetitions=reps,
-        node_size=int(profile["node_size"]),
-        workload=workload,
-    )
-    return format_table(
-        rows,
-        title=(
-            "Figure 7 (scaled) — slowdown of RLM-sort vs AMS-sort "
-            "(best level choice for each; paper observes slowdowns of ~1-4, "
-            "growing for small n/p and large p)"
-        ),
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run())
+def aggregate(pairs) -> Dict[str, List[Dict[str, object]]]:
+    per_algo: Dict[tuple, Dict[str, object]] = {}
+    for group, members in _grouped(pairs).items():
+        row = _median_row(members)
+        key = (group.workload, group.n_per_pe, group.p, group.algorithm)
+        if key not in per_algo or row["time_median_s"] < per_algo[key]["time_median_s"]:
+            per_algo[key] = row
+    rows = []
+    seen = set()
+    for (workload, n_per_pe, p, _), _row in sorted(per_algo.items()):
+        point = (workload, n_per_pe, p)
+        if point in seen:
+            continue
+        seen.add(point)
+        best_ams = per_algo.get((workload, n_per_pe, p, "ams"))
+        best_rlm = per_algo.get((workload, n_per_pe, p, "rlm"))
+        if best_ams is None or best_rlm is None:
+            continue
+        rows.append(
+            {
+                "workload": workload,
+                "p": p,
+                "n_per_pe": n_per_pe,
+                "ams_levels": best_ams["levels"],
+                "ams_time_s": best_ams["time_median_s"],
+                "rlm_levels": best_rlm["levels"],
+                "rlm_time_s": best_rlm["time_median_s"],
+                "slowdown": slowdown_metric(
+                    float(best_rlm["time_median_s"]), float(best_ams["time_median_s"])
+                ),
+            }
+        )
+    return {"rows": rows}

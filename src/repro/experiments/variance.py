@@ -10,76 +10,50 @@ quality per run), which is the algorithmic part of the fluctuation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.analysis.metrics import summarize_runs
-from repro.analysis.tables import format_table
-from repro.experiments.harness import ExperimentRunner, RunConfig, scale_profile
+from repro.experiments.harness import CampaignCell, _grouped, _level_candidates
+
+TITLE = "Figure 12 — distribution of modelled wall-times"
 
 
-def variance_rows(
-    p_values: Sequence[int],
-    n_per_pe_values: Sequence[int],
-    level_counts: Sequence[int] = (1, 2, 3),
-    repetitions: int = 5,
-    node_size: int = 4,
-    workload: str = "uniform",
-    runner: Optional[ExperimentRunner] = None,
-) -> List[Dict[str, object]]:
-    """One row per (p, n/p, levels) with the distribution of modelled times."""
-    runner = runner or ExperimentRunner()
-    rows: List[Dict[str, object]] = []
-    for n_per_pe in n_per_pe_values:
-        for p in p_values:
-            for levels in level_counts:
-                if levels > 1 and p <= node_size:
-                    continue
-                cfg = RunConfig(
-                    algorithm="ams",
-                    p=p,
-                    n_per_pe=n_per_pe,
-                    levels=levels,
-                    node_size=node_size,
-                    repetitions=repetitions,
-                    workload=workload,
-                )
-                times = [
-                    runner.run_once(cfg, rep).total_time for rep in range(repetitions)
-                ]
-                stats = summarize_runs(times)
-                rows.append(
-                    {
-                        "p": p,
-                        "n_per_pe": n_per_pe,
-                        "levels": levels,
-                        "workload": workload,
-                        "median_s": stats["median"],
-                        "min_s": stats["min"],
-                        "max_s": stats["max"],
-                        "relative_spread": stats["relative_spread"],
-                        "runs": stats["runs"],
-                    }
-                )
-    return rows
+def cells(profile, workload, primary) -> List[CampaignCell]:
+    ps = tuple(profile["p_values"])[:2] if primary else tuple(profile["p_values"])[:1]
+    ns = tuple(profile["n_per_pe_values"])[:2] if primary else tuple(profile["n_per_pe_values"])[:1]
+    reps = max(3, int(profile["repetitions"])) if primary else 3
+    cells = []
+    for n_per_pe in ns:
+        for p in ps:
+            candidates = _level_candidates(profile, p)
+            if not primary:
+                candidates = candidates[:1]
+            for levels in candidates:
+                for rep in range(reps):
+                    cells.append(CampaignCell(
+                        experiment="variance", algorithm="ams", p=p,
+                        n_per_pe=n_per_pe, levels=levels, workload=workload,
+                        node_size=int(profile["node_size"]), repetition=rep,
+                    ))
+    return cells
 
 
-def run(
-    scale: Optional[str] = None, repetitions: int = 5, workload: str = "uniform"
-) -> str:
-    """Run the scaled Figure 12 experiment and return the formatted table."""
-    profile = scale_profile(scale)
-    rows = variance_rows(
-        p_values=profile["p_values"][:2],
-        n_per_pe_values=profile["n_per_pe_values"][:2],
-        repetitions=repetitions,
-        node_size=int(profile["node_size"]),
-        workload=workload,
-    )
-    return format_table(
-        rows,
-        title="Figure 12 (scaled) — distribution of AMS-sort modelled wall-times over repetitions",
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run())
+def aggregate(pairs) -> Dict[str, List[Dict[str, object]]]:
+    rows = []
+    for group, members in _grouped(pairs).items():
+        times = [float(s["total_time_s"]) for _, s in members]
+        stats = summarize_runs(times)
+        rows.append(
+            {
+                "workload": group.workload,
+                "p": group.p,
+                "n_per_pe": group.n_per_pe,
+                "levels": group.levels,
+                "median_s": stats["median"],
+                "min_s": stats["min"],
+                "max_s": stats["max"],
+                "relative_spread": stats["relative_spread"],
+                "runs": stats["runs"],
+            }
+        )
+    return {"rows": rows}

@@ -3,96 +3,72 @@
 The paper's experiment: for every ``p`` in {512, 2048, 8192, 32768} and
 ``n/p`` in {1e5, 1e6, 1e7}, run AMS-sort with 1, 2 and 3 levels and report
 
-* Table 2 — the median wall-time of the best level choice,
+* Table 2 — the median wall-time of the best level choice (``best``),
 * Figure 8 — the per-phase breakdown (splitter selection, bucket processing,
-  data delivery, local sort) of every level count.
+  data delivery, local sort) of every level count (``rows``).
 
 The scaled reproduction runs the same sweep on smaller ``p`` and ``n/p``
-(profile-controlled) on the simulated SuperMUC-like machine and prints the
-paper's reference numbers next to the measured ones where they exist.
+(profile-controlled) on the simulated SuperMUC-like machine;
+:func:`paper_reference_rows` gives the paper's numbers for side-by-side
+output.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from repro.analysis.tables import format_table
 from repro.experiments.harness import (
     PAPER_TABLE2_SECONDS,
-    ExperimentRunner,
-    RunConfig,
-    scale_profile,
+    CampaignCell,
+    _grid,
+    _grouped,
+    _level_candidates,
+    _median_row,
 )
-from repro.machine.counters import PAPER_PHASES
+
+TITLE = "Table 2 / Figure 8 — AMS-sort weak scaling"
 
 
-def weak_scaling_rows(
-    p_values: Sequence[int],
-    n_per_pe_values: Sequence[int],
-    level_counts: Sequence[int] = (1, 2, 3),
-    repetitions: int = 3,
-    node_size: int = 4,
-    workload: str = "uniform",
-    runner: Optional[ExperimentRunner] = None,
-) -> List[Dict[str, object]]:
-    """Run the full weak-scaling sweep; one row per (p, n/p, levels)."""
-    runner = runner or ExperimentRunner()
-    rows: List[Dict[str, object]] = []
-    for n_per_pe in n_per_pe_values:
-        for p in p_values:
-            for levels in level_counts:
-                if levels > 1 and p <= node_size:
-                    continue
-                cfg = RunConfig(
-                    algorithm="ams",
-                    p=p,
-                    n_per_pe=n_per_pe,
-                    levels=levels,
-                    node_size=node_size,
-                    repetitions=repetitions,
-                    workload=workload,
-                )
-                rows.append(runner.run(cfg))
-    return rows
+def cells(profile, workload, primary) -> List[CampaignCell]:
+    ps, ns, reps = _grid(profile, primary)
+    cells = []
+    for n_per_pe in ns:
+        for p in ps:
+            candidates = _level_candidates(profile, p)
+            if not primary:
+                candidates = tuple(k for k in candidates if k <= 2)
+            for levels in candidates:
+                for rep in range(max(1, reps)):
+                    cells.append(CampaignCell(
+                        experiment="weak_scaling", algorithm="ams", p=p,
+                        n_per_pe=n_per_pe, levels=levels, workload=workload,
+                        node_size=int(profile["node_size"]), repetition=rep,
+                    ))
+    return cells
 
 
-def table2_rows(rows: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
-    """Reduce the sweep to Table 2: best level choice per (p, n/p)."""
+def aggregate(pairs) -> Dict[str, List[Dict[str, object]]]:
+    rows = [_median_row(members) for members in _grouped(pairs).values()]
     best: Dict[tuple, Dict[str, object]] = {}
     for row in rows:
-        key = (row["n_per_pe"], row["p"])
+        key = (row["workload"], row["n_per_pe"], row["p"])
         if key not in best or row["time_median_s"] < best[key]["time_median_s"]:
             best[key] = row
-    out: List[Dict[str, object]] = []
-    for (n_per_pe, p), row in sorted(best.items()):
-        out.append(
-            {
-                "n_per_pe": n_per_pe,
-                "p": p,
-                "best_levels": row["levels"],
-                "time_median_s": row["time_median_s"],
-                "imbalance": row["imbalance"],
-                "max_startups": row["max_startups"],
-            }
-        )
-    return out
-
-
-def figure8_rows(rows: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
-    """Reduce the sweep to Figure 8: phase breakdown per (p, n/p, levels)."""
-    out: List[Dict[str, object]] = []
-    for row in sorted(rows, key=lambda r: (r["n_per_pe"], r["p"], r["levels"])):
-        entry: Dict[str, object] = {
-            "n_per_pe": row["n_per_pe"],
-            "p": row["p"],
-            "levels": row["levels"],
+    best_rows = [
+        {
+            "workload": workload,
+            "n_per_pe": n_per_pe,
+            "p": p,
+            "best_levels": row["levels"],
             "time_median_s": row["time_median_s"],
+            "imbalance": row["imbalance"],
+            "max_startups": row["max_startups"],
         }
-        for phase in PAPER_PHASES:
-            entry[phase] = row.get(f"phase_{phase}", 0.0)
-        out.append(entry)
-    return out
+        for (workload, n_per_pe, p), row in sorted(
+            best.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
+        )
+    ]
+    return {"rows": rows, "best": best_rows}
 
 
 def paper_reference_rows() -> List[Dict[str, object]]:
@@ -102,38 +78,3 @@ def paper_reference_rows() -> List[Dict[str, object]]:
         for p, seconds in sorted(by_p.items()):
             out.append({"n_per_pe": n_per_pe, "p": p, "paper_time_s": seconds})
     return out
-
-
-def run(
-    scale: Optional[str] = None,
-    repetitions: Optional[int] = None,
-    workload: str = "uniform",
-) -> str:
-    """Run the scaled weak-scaling experiment and format Table 2 + Figure 8."""
-    profile = scale_profile(scale)
-    reps = repetitions if repetitions is not None else int(profile["repetitions"])
-    rows = weak_scaling_rows(
-        p_values=profile["p_values"],
-        n_per_pe_values=profile["n_per_pe_values"],
-        repetitions=reps,
-        node_size=int(profile["node_size"]),
-        workload=workload,
-    )
-    text = []
-    text.append(format_table(
-        table2_rows(rows),
-        title="Table 2 (scaled) — AMS-sort median modelled wall-times, best level choice",
-    ))
-    text.append(format_table(
-        figure8_rows(rows),
-        title="Figure 8 (scaled) — AMS-sort phase breakdown per level count",
-    ))
-    text.append(format_table(
-        paper_reference_rows(),
-        title="Paper reference (Table 2, SuperMUC, for comparison of shape only)",
-    ))
-    return "\n".join(text)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run())

@@ -3,7 +3,7 @@
 The simulator is deterministic, so every field of the campaign summary —
 modelled clocks, phase breakdowns, imbalance, traffic — is reproducible to
 the last bit.  These tests re-run the golden campaign (the ``tiny`` profile,
-uniform + zipf workloads, all six experiments) and compare field by field
+uniform + zipf workloads, all seven experiments) and compare field by field
 against the checked-in JSONs, so a clock-model shift (like the PR 2
 pivot-stream move or the PR 3 counter-RNG migration) becomes an explicit,
 reviewed update of the golden files instead of silent drift::

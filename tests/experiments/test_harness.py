@@ -2,14 +2,17 @@
 
 import pytest
 
+from repro.experiments.campaign import finalize_cell, run_cell
 from repro.experiments.harness import (
     PAPER_TABLE2_SECONDS,
-    ExperimentRunner,
-    RunConfig,
     SCALE_PROFILES,
+    CampaignCell,
+    _grid,
+    _grouped,
+    _level_candidates,
+    _median_row,
     scale_profile,
 )
-from repro.machine.spec import laptop_like
 
 
 class TestScaleProfiles:
@@ -44,63 +47,51 @@ class TestScaleProfiles:
         assert profile["reference_max_p"] == 1024
 
 
-class TestRunConfig:
-    def test_label(self):
-        cfg = RunConfig(algorithm="ams", p=8, n_per_pe=100, levels=2)
-        assert "ams" in cfg.label() and "p8" in cfg.label()
+class TestCellHelpers:
+    def test_level_candidates(self):
+        profile = {"node_size": 4}
+        assert _level_candidates(profile, 4) == (1,)
+        assert _level_candidates(profile, 8) == (1, 2, 3)
+        assert _level_candidates(dict(profile, level_counts=(2,)), 8) == (2,)
+        paper = {"node_size": 16, "level_counts": "paper"}
+        assert _level_candidates(paper, 8192) == (2,)
+        assert _level_candidates(paper, 32768) == (3,)
 
+    def test_grid_trims_secondary_workloads(self):
+        profile = scale_profile("quick")
+        assert _grid(profile, True) == (
+            profile["p_values"], profile["n_per_pe_values"], profile["repetitions"]
+        )
+        ps, ns, reps = _grid(profile, False)
+        assert ps == profile["p_values"][:2]
+        assert ns == profile["n_per_pe_values"][:1]
+        assert reps == 2
 
-class TestExperimentRunner:
-    @pytest.fixture
-    def runner(self):
-        return ExperimentRunner(spec=laptop_like())
-
-    def test_run_once(self, runner):
-        cfg = RunConfig(algorithm="ams", p=8, n_per_pe=100, levels=2, node_size=2,
-                        repetitions=1)
-        result = runner.run_once(cfg)
-        assert result.p == 8
-        assert result.total_time > 0
-
-    def test_run_aggregates(self, runner):
-        cfg = RunConfig(algorithm="rlm", p=4, n_per_pe=80, levels=1, node_size=2,
-                        repetitions=2)
-        row = runner.run(cfg)
-        assert row["algorithm"] == "rlm"
+    def test_median_row_over_repetitions(self):
+        cells = [
+            finalize_cell(CampaignCell(
+                experiment="harness", algorithm="rlm", p=4, n_per_pe=80,
+                levels=1, node_size=2, repetition=rep,
+            ))
+            for rep in range(3)
+        ]
+        (members,) = _grouped([(c, run_cell(c)) for c in cells]).values()
+        assert [c.repetition for c, _ in members] == [0, 1, 2]
+        row = _median_row(members)
         assert row["time_min_s"] <= row["time_median_s"] <= row["time_max_s"]
         assert "phase_local_sort" in row
 
-    def test_run_once_reference_engine_matches_flat(self, runner):
-        cfg = RunConfig(algorithm="ams", p=8, n_per_pe=100, levels=2, node_size=2,
-                        repetitions=1)
-        from dataclasses import replace
+    def test_sampling_overrides_reach_ams(self):
+        cell = finalize_cell(CampaignCell(
+            experiment="harness", p=4, n_per_pe=200, levels=1, node_size=2,
+            overpartitioning=4, oversampling=2.0,
+        ))
+        assert run_cell(cell)["imbalance"] >= 0
 
-        flat = runner.run_once(cfg)
-        ref = runner.run_once(replace(cfg, engine="reference"))
-        assert flat.total_time == ref.total_time
-        assert flat.summary_dict() == ref.summary_dict()
-
-    def test_run_with_sampling_overrides(self, runner):
-        cfg = RunConfig(algorithm="ams", p=4, n_per_pe=200, levels=1, node_size=2,
-                        repetitions=1, overpartitioning=4, oversampling=2.0)
-        row = runner.run(cfg)
-        assert row["imbalance"] >= 0
-
-    def test_best_level_time(self, runner):
-        cfg = RunConfig(algorithm="ams", p=8, n_per_pe=100, node_size=2, repetitions=1)
-        best = runner.best_level_time(cfg, [1, 2])
-        assert best["levels"] in (1, 2)
-
-    def test_baseline_algorithms_supported(self, runner):
+    def test_baseline_algorithms_supported(self):
         for algo in ("samplesort", "mergesort", "quicksort"):
-            cfg = RunConfig(algorithm=algo, p=4, n_per_pe=50, repetitions=1, node_size=2)
-            row = runner.run(cfg)
-            assert row["time_median_s"] > 0
-
-    def test_run_grid(self, runner):
-        configs = [
-            RunConfig(algorithm="ams", p=4, n_per_pe=50, levels=1, node_size=2, repetitions=1),
-            RunConfig(algorithm="ams", p=4, n_per_pe=50, levels=2, node_size=2, repetitions=1),
-        ]
-        rows = runner.run_grid(configs)
-        assert len(rows) == 2
+            cell = finalize_cell(CampaignCell(
+                experiment="harness", algorithm=algo, p=4, n_per_pe=50,
+                levels=1, node_size=2,
+            ))
+            assert run_cell(cell)["total_time_s"] > 0
