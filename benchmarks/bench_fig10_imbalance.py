@@ -9,9 +9,10 @@ overpartitioning (Lemma 2: the required sample size drops from
 ``O(1/eps^2)`` to ``O(1/eps)``).
 """
 
-from conftest import publish, run_experiment
+from conftest import publish
 
 from repro.analysis.tables import format_table
+from repro.experiments.campaign import run_experiment
 
 
 B_VALUES = (1, 8, 16)

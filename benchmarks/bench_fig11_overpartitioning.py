@@ -6,11 +6,14 @@ process, for oversampling factors ``a`` in {1, 8, 16}.  Expected shape: a
 U-curve — too few samples hurt (imbalance makes delivery and local sorting
 slower), too many samples hurt (sampling itself starts to dominate), and the
 sampling share of the wall-time grows monotonically with the sample count.
+The campaign grid (4 to 256 samples per PE) shows the right branch: at every
+``a`` the largest sample count is slower than the best one.
 """
 
-from conftest import publish, run_experiment
+from conftest import publish
 
 from repro.analysis.tables import format_table
+from repro.experiments.campaign import run_experiment
 
 
 A_VALUES = (1.0, 8.0, 16.0)
@@ -36,7 +39,7 @@ def test_fig11_overpartitioning_walltime(benchmark, profile):
         sampling = [row["sampling_time_s"] for row in series]
         # Sampling cost grows with the number of samples drawn.
         assert sampling[-1] >= sampling[0]
-        # The largest sample count should not be the fastest overall
-        # configuration (the right branch of the U-curve).
+        # The largest sample count is slower than the best configuration
+        # (the right branch of the U-curve).
         totals = [row["time_median_s"] for row in series]
-        assert totals[-1] >= min(totals)
+        assert totals[-1] > min(totals)

@@ -10,9 +10,10 @@ relative to the median — the same qualitative statement the paper makes for
 small and mid p.
 """
 
-from conftest import publish, run_experiment
+from conftest import publish
 
 from repro.analysis.tables import format_table
+from repro.experiments.campaign import run_experiment
 
 
 REPETITIONS = 5

@@ -6,9 +6,10 @@ small ``n/p`` and large ``p``.  The scaled reproduction checks the same
 ordering and reports the slowdown series.
 """
 
-from conftest import publish, run_experiment
+from conftest import publish
 
 from repro.analysis.tables import format_table
+from repro.experiments.campaign import run_experiment
 
 
 def test_fig7_rlm_slowdown(benchmark, profile):

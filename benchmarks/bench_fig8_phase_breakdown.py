@@ -10,9 +10,10 @@ splitter selection, bucket processing, data delivery and local sorting
 * local sorting dominates when ``n/p`` is large.
 """
 
-from conftest import publish, run_experiment
+from conftest import publish
 
 from repro.analysis.tables import format_table
+from repro.experiments.campaign import run_experiment
 from repro.machine.counters import (
     PHASE_DATA_DELIVERY,
     PHASE_LOCAL_SORT,

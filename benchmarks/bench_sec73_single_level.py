@@ -9,9 +9,10 @@ our re-implemented single-level baselines and checks the structural claim:
 the single-level slowdown grows with ``p``.
 """
 
-from conftest import publish, run_experiment
+from conftest import publish
 
 from repro.analysis.tables import format_table
+from repro.experiments.campaign import run_experiment
 
 
 def test_sec73_single_level_comparison(benchmark, profile):

@@ -7,10 +7,11 @@ paper's choices (for the multi-level rows) and benchmarks the planning
 routine itself.
 """
 
-from conftest import bench_profile, publish, run_experiment
+from conftest import bench_profile, publish
 
 from repro.analysis.tables import format_table
 from repro.core.config import level_plan
+from repro.experiments.campaign import run_experiment
 from repro.experiments.level_table import PAPER_TABLE1, TITLE
 
 

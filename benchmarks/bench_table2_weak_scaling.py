@@ -9,9 +9,10 @@ scalability), which the assertion checks.  The sharded, cached form of the
 same sweep is ``cli campaign --experiments weak_scaling``.
 """
 
-from conftest import publish, run_experiment
+from conftest import publish
 
 from repro.analysis.tables import format_table
+from repro.experiments.campaign import run_experiment
 from repro.experiments.weak_scaling import paper_reference_rows
 
 

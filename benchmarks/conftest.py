@@ -30,7 +30,7 @@ def bench_profile() -> dict:
     """Scaled (p, n/p) grids used by the benchmark suite.
 
     The dict is a campaign profile: each benchmark runs its experiment as
-    ``run_campaign(bench_profile(), experiments=(name,), ...)``.
+    ``repro.experiments.campaign.run_experiment(bench_profile(), name)``.
     """
     profiles = {
         "quick": {
@@ -53,16 +53,6 @@ def bench_profile() -> dict:
         },
     }
     return profiles.get(bench_scale(), profiles["quick"])
-
-
-def run_experiment(profile: dict, name: str) -> dict:
-    """One-experiment campaign on uniform input: the experiment's sections."""
-    from repro.experiments.campaign import run_campaign
-
-    summary, _ = run_campaign(
-        profile, experiments=(name,), workloads=("uniform",), jobs=1, cache_dir=None
-    )
-    return summary["experiments"][name]
 
 
 def publish(name: str, text: str) -> None:

@@ -18,7 +18,8 @@ Every module corresponds to one table or figure and defines it once, as
 
 :mod:`repro.experiments.campaign` executes the cells (serially or sharded,
 optionally cached) and aggregates them; a single figure is a campaign of one
-experiment.  The paper's machine (up to 32768 MPI ranks with up to ``10^7``
+experiment (:func:`~repro.experiments.campaign.run_figures`, serial and
+strict).  The paper's machine (up to 32768 MPI ranks with up to ``10^7``
 elements each) does not fit into a pure-Python simulation, so every
 experiment runs a *scaled* configuration by default.  The scale is a profile
 from :data:`~repro.experiments.harness.SCALE_PROFILES`, chosen by name or

@@ -652,6 +652,35 @@ def run_campaign(
     return summary, stats
 
 
+def run_figures(
+    profile: "str | Mapping[str, object] | None",
+    experiments: Sequence[str],
+    workloads: Sequence[str] = ("uniform",),
+    fault_specs: Optional[Sequence[str]] = None,
+) -> Dict[str, object]:
+    """The serial figure path: a campaign run in this process, uncached.
+
+    Used by ``cli table2|fig7|…``, the figure benchmarks and the experiment
+    tests.  It is strict: a failing cell (including output validation)
+    raises instead of being retried and quarantined, so a figure never
+    comes back silently short of rows.
+    """
+    summary, _ = run_campaign(
+        profile, experiments=experiments, workloads=workloads, jobs=1,
+        cache_dir=None, fault_specs=fault_specs, strict=True,
+    )
+    return summary
+
+
+def run_experiment(
+    profile: "str | Mapping[str, object] | None",
+    name: str,
+    workloads: Sequence[str] = ("uniform",),
+) -> Dict[str, List[Dict[str, object]]]:
+    """One experiment's sections (``{section: rows}``) via :func:`run_figures`."""
+    return run_figures(profile, (name,), workloads)["experiments"][name]
+
+
 def campaign_to_json(summary: Mapping[str, object]) -> str:
     """Canonical JSON serialization (sorted keys, trailing newline)."""
     return json.dumps(summary, indent=2, sort_keys=True) + "\n"

@@ -20,8 +20,10 @@ import sys
 from pathlib import Path
 from typing import Dict, List
 
+from repro.analysis.tables import format_table
 from repro.experiments import campaign as campaign_mod
 from repro.experiments.harness import SCALE_PROFILES
+from repro.experiments.weak_scaling import paper_reference_rows
 from repro.workloads.generators import WORKLOADS
 
 
@@ -302,15 +304,15 @@ def main(argv: List[str] | None = None) -> int:
         for spec in args.faults:
             parse_fault_spec(spec)  # fail fast on bad grammar
 
-    summary, _ = campaign_mod.run_campaign(
-        profile=args.scale,
-        experiments=experiments,
-        workloads=(args.workload,),
-        jobs=1,
-        cache_dir=None,
-        fault_specs=args.faults,
+    summary = campaign_mod.run_figures(
+        args.scale, experiments, (args.workload,), fault_specs=args.faults
     )
     print(campaign_mod.format_campaign(summary))
+    if "weak_scaling" in experiments:
+        print("\n" + format_table(
+            paper_reference_rows(),
+            title="Paper reference (Table 2, SuperMUC, for comparison of shape only)",
+        ))
     return 0
 
 

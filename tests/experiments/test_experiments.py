@@ -29,11 +29,7 @@ MICRO_PROFILE = {
 
 
 def run_experiment(experiment, workloads=("uniform",), **profile):
-    summary, _ = cm.run_campaign(
-        dict(MICRO_PROFILE, **profile), experiments=(experiment,),
-        workloads=workloads,
-    )
-    return summary["experiments"][experiment]
+    return cm.run_experiment(dict(MICRO_PROFILE, **profile), experiment, workloads)
 
 
 def fake_summary(total_time_s):
@@ -258,6 +254,19 @@ class TestCLI:
         assert main(["fig7", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out
         assert "Campaign: profile=tiny" in out and "Figure 7" in out
+
+    def test_main_table2_prints_the_paper_reference(self, capsys):
+        assert main(["table2", "--scale", "tiny"]) == 0
+        out = capsys.readouterr().out
+        assert "Table 2" in out and "Paper reference (Table 2" in out
+
+    def test_main_raises_on_a_failing_cell(self, monkeypatch):
+        def broken(cell):
+            raise RuntimeError("cell failed validation")
+
+        monkeypatch.setattr(cm, "run_cell", broken)
+        with pytest.raises(RuntimeError, match="cell failed validation"):
+            main(["fig7", "--scale", "tiny"])
 
     def test_main_unknown_experiment(self):
         with pytest.raises(SystemExit):
