@@ -184,22 +184,23 @@ def draw_samples_flat(
     total = int(eff.sum())
     if total == 0:
         return DistArray(np.empty(0, dtype=data.dtype), np.zeros(p + 1, np.int64))
-    seg = np.repeat(np.arange(p, dtype=np.int64), eff)
     # Draw j of stream (level, pe) is 32-bit word j mod 4 of Philox block
     # j div 4 — one block feeds four sample positions, quartering the
     # Philox work.  Blocks are evaluated per (segment, block index) lane;
     # the per-draw words are then gathered out of each segment's block
     # prefix.  32-bit words limit segment sizes to 2**31 (far above any
-    # simulated per-PE load; the modulo bias at realistic sizes is < 1e-3).
+    # simulated per-PE load; the modulo bias at realistic sizes is < 1e-3),
+    # which also makes the uint32 modulo below exact.
     if sizes.size and int(sizes.max(initial=0)) >= 2 ** 31:
         raise ValueError("segment too large for 32-bit sample positions")
     lane_counts = (eff + 3) >> 2
     n_lanes = int(lane_counts.sum())
-    lane_seg = np.repeat(np.arange(p, dtype=np.int64), lane_counts)
     lane_excl = np.cumsum(lane_counts) - lane_counts
-    lane_idx = np.arange(n_lanes, dtype=np.int64) - lane_excl[lane_seg]
-    y0, y1, y2, y3 = rng.blocks(level, pes[lane_seg], lane_idx)
-    words = np.empty((n_lanes, 4), dtype=np.uint64)
+    lane_idx = np.arange(n_lanes, dtype=np.int64) - np.repeat(
+        lane_excl, lane_counts
+    )
+    y0, y1, y2, y3 = rng.blocks(level, np.repeat(pes, lane_counts), lane_idx)
+    words = np.empty((n_lanes, 4), dtype=np.uint32)
     words[:, 0] = y0
     words[:, 1] = y1
     words[:, 2] = y2
@@ -210,10 +211,12 @@ def draw_samples_flat(
         draw_words = words.reshape(-1)
     else:
         draw_words = words.reshape(-1)[concat_ranges(lane_excl * 4, eff)]
-    draw_sizes = sizes[seg].astype(np.uint64) if int(sizes.min()) != int(sizes.max()) \
-        else np.uint64(sizes[0])
-    pos = (draw_words % draw_sizes).astype(np.int64)
-    values = data.values[data.offsets[seg] + pos]
+    if int(sizes.min()) != int(sizes.max()):
+        draw_sizes = np.repeat(sizes.astype(np.uint32), eff)
+    else:
+        draw_sizes = np.uint32(sizes[0])
+    pos = draw_words % draw_sizes
+    values = data.values[np.repeat(data.offsets[:-1], eff) + pos]
     return DistArray.from_sizes(values, eff)
 
 

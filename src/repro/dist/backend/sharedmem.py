@@ -272,8 +272,7 @@ def _w_take_ranges(mm, p) -> None:
     lengths = _view(mm, p["lengths"])[r0:r1]
     out = _view(mm, p["out"])
     o0 = p["o0"]
-    idx = flatops.concat_ranges(starts, lengths)
-    out[o0:o0 + idx.size] = vals[idx]
+    flatops.copy_ranges(vals, starts, lengths, out[o0:o0 + int(lengths.sum())])
 
 
 def _w_debug_sleep(mm, p) -> None:

@@ -543,17 +543,21 @@ def _bucketize_batched(
 ) -> Union[np.ndarray, None]:
     """All segments of a :func:`blockwise_searchsorted` call in one shot.
 
-    The boundary range of *all* segments combined is cut into ``2**bits``
-    equal cells (a radix on the top query bits, as in
-    :func:`_bucketize_with_table`) and one ``(segment, cell)`` table of
-    result ranges is built from two bincounts over the concatenated
-    boundaries — no per-segment Python.  Queries in pure cells (no boundary
-    of *their own* segment inside) resolve with one table gather; queries in
-    mixed cells finish with a windowed segmented bisection whose window is
-    the table's result range (almost always one or two candidate
-    boundaries).  Output is byte-identical to ``np.searchsorted`` per
-    segment.  Returns ``None`` when the value range or table size makes the
-    shared grid unattractive.
+    Each segment's boundary range is cut into ``2**bits`` equal cells (a
+    radix on the top query bits, as in :func:`_bucketize_with_table`) and
+    one ``(segment, cell)`` table of result ranges covers all segments.
+    The table is built from the runs it encodes — one ``np.repeat`` over
+    its steps, then a fix-up of the distinct cells that hold a boundary —
+    so it costs one write of the table plus work per boundary.  At the
+    largest table of a p=2^13 three-level sort (level 2: 512 segments,
+    4.2M cells, 8.19M queries) the build takes ~20 ms and the queries
+    ~110 ms (2 cores, numpy 2.4).  Queries in
+    pure cells (no boundary of *their own* segment inside) resolve with one
+    table gather; queries in mixed cells finish with a windowed segmented
+    bisection whose window is the table's result range (almost always one
+    or two candidate boundaries).  Output is byte-identical to
+    ``np.searchsorted`` per segment.  Returns ``None`` when the value range
+    or table size makes the shared grid unattractive.
     """
     nseg = int(offsets.size) - 1
     if values.dtype.kind == "u" and int(values.max()) >= 2 ** 62:
@@ -582,8 +586,8 @@ def _bucketize_batched(
     hi_k[has] = vi[offsets[1:][has] - 1]
     nq = int(queries.size)
     # ~32 cells per boundary keeps the mixed-query fraction around 3%; the
-    # cap bounds the table build (≈5 passes over nseg << bits) to a
-    # fraction of the per-query work.
+    # cap holds the table (one int64 per cell) to max(4M, queries / 4)
+    # cells, so writing it stays a fraction of the per-query work.
     bits = min(16, max(8, max_size.bit_length() + 5))
     while bits > 8 and (nseg << bits) > max(1 << 22, nq >> 2):
         bits -= 1
@@ -597,80 +601,96 @@ def _bucketize_batched(
     nc2 = n_cells + 2
     shift_k = np.maximum(0, _bit_length_i64(hi_k - lo_k) - bits)
 
-    # (segment, cell) histograms of the boundaries: prefix[s, c] counts the
-    # segment's boundaries in cells < c; eq_base / eq_top count boundaries
-    # exactly at a cell's lowest / highest covered value.
-    seg_of_spl = np.repeat(np.arange(nseg, dtype=np.int64), seg_sizes)
-    spl_rel = vi - lo_k[seg_of_spl]
-    shift_spl = shift_k[seg_of_spl]
-    flat_spl = seg_of_spl * nc2 + ((spl_rel >> shift_spl) + 1)
-    table_n = nseg * nc2
-    prefix = np.zeros((nseg, nc2 + 1), dtype=np.int64)
-    np.cumsum(
-        np.bincount(flat_spl, minlength=table_n).reshape(nseg, nc2),
-        axis=1, out=prefix[:, 1:],
-    )
-    low_bits = spl_rel & ((np.int64(1) << shift_spl) - 1)
-    eq_base = np.bincount(
-        flat_spl[low_bits == 0], minlength=table_n
-    ).reshape(nseg, nc2)
-    if side == "right":
-        lo_tab = prefix[:, :-1] + eq_base
-        hi_tab = prefix[:, 1:]
-    else:
-        eq_top = np.bincount(
-            flat_spl[low_bits == (np.int64(1) << shift_spl) - 1],
-            minlength=table_n,
-        ).reshape(nseg, nc2)
-        lo_tab = prefix[:, :-1]
-        hi_tab = prefix[:, 1:] - eq_top
-    # Pure cells store their result directly; mixed cells store the result
-    # window encoded below zero, so one gather answers pure queries with no
-    # unpacking pass and the sign bit alone flags the (rare) mixed ones.
-    win_bits = max(1, max_size.bit_length())
-    win = hi_tab - lo_tab
-    packed = np.where(
-        win == 0, lo_tab, -((lo_tab << np.int64(win_bits)) | win) - 1
-    ).reshape(-1)
-
     s_max = int(shift_k.max(initial=0))
     lo_v = int(lo_k[has].min()) if has.any() else 0
     hi_v = int(hi_k[has].max()) if has.any() else 0
     if (hi_v + 1) - (lo_v - (1 << s_max)) >= 1 << 63:
         return None  # cell arithmetic could overflow; per-segment fallback
 
+    # The (segment, cell) table, built from the runs it encodes.  The
+    # boundaries are sorted by (segment, value), so their flat cells are
+    # non-decreasing and the prefix count (boundaries of the cell's own
+    # segment in earlier cells) is a step function of the flat cell index:
+    # it restarts at 0 on every segment start and steps up one cell past
+    # every boundary.  One ``np.repeat`` over those steps fills the whole
+    # table with its pure-cell answers; only the distinct boundary cells
+    # then get their eq_base / eq_top counts (boundaries exactly at the
+    # cell's lowest / highest covered value) and mixed-window entries.
+    seg_of_spl = np.repeat(np.arange(nseg, dtype=np.int64), seg_sizes)
+    spl_rel = vi - lo_k[seg_of_spl]
+    shift_spl = shift_k[seg_of_spl]
+    flat_spl = seg_of_spl * nc2 + ((spl_rel >> shift_spl) + 1)
+    table_n = nseg * nc2
+    grp = np.concatenate(([0], np.flatnonzero(np.diff(flat_spl)) + 1))
+    cells = flat_spl[grp]  # the distinct boundary cells, ascending
+    seg_first = offsets[:-1]
+    steps = np.sort(np.concatenate(
+        (np.arange(nseg, dtype=np.int64) * nc2, cells + 1)
+    ))
+    packed = np.repeat(
+        np.searchsorted(flat_spl, steps) - seg_first[steps // nc2],
+        np.diff(steps, append=table_n),
+    )
+    grp_first = seg_first[seg_of_spl[grp]]
+    below = grp - grp_first  # boundaries of the segment in earlier cells
+    upto = np.append(grp[1:], flat_spl.size) - grp_first
+    low_bits = spl_rel & ((np.int64(1) << shift_spl) - 1)
+    if side == "right":
+        lo_tab = below + np.add.reduceat(low_bits == 0, grp, dtype=np.int64)
+        hi_tab = upto
+    else:
+        at_top = low_bits == (np.int64(1) << shift_spl) - 1
+        lo_tab = below
+        hi_tab = upto - np.add.reduceat(at_top, grp, dtype=np.int64)
+    # Pure cells store their result directly; mixed cells store the result
+    # window encoded below zero, so one gather answers pure queries with no
+    # unpacking pass and the sign bit alone flags the (rare) mixed ones.
+    win_bits = max(1, max_size.bit_length())
+    win = hi_tab - lo_tab
+    packed[cells] = np.where(
+        win == 0, lo_tab, -((lo_tab << np.int64(win_bits)) | win) - 1
+    )
+
     # Query side: one light pass per segment over its contiguous block —
     # scalar clip into [lo-1, hi+1] (preserving each query's below/above
     # classification), the folded "+1" interior-cell subtrahend
     # ((x + 2**s) >> s == (x >> s) + 1 exactly, so the shifted result lands
     # in [0, n_cells + 1] with no second clip), and one gather from the
-    # segment's table row.  The blocks stay cache-resident, the loop body
-    # is branch-free numpy, and the table/mixed machinery around it is
-    # whole-batch.
+    # segment's table row straight into the result.  The cell indices live
+    # in one workspace buffer sized for the largest block, so the loop's
+    # only element-scale allocation is the one-byte mixed-query mask (a
+    # pooled bool buffer pinned the heap: +80 MB peak RSS at p=2^13).
     res = np.empty(queries.size, dtype=np.int64)
     lo2 = lo_k - (np.int64(1) << shift_k.astype(np.int64))
     wb = np.int64(win_bits)
     wmask = np.int64((1 << win_bits) - 1)
     right = side == "right"
+    ws = get_arena()
+    block = int(np.diff(query_offsets).max())
+    cell_buf = ws.empty(block, np.int64)
     for s in range(nseg):
         a, b = int(query_offsets[s]), int(query_offsets[s + 1])
         if b == a:
             continue
-        cell = np.clip(qi[a:b], int(lo_k[s]) - 1, int(hi_k[s]) + 1)
+        cell = cell_buf[:b - a]
+        np.maximum(qi[a:b], lo_k[s] - 1, out=cell)
+        np.minimum(cell, hi_k[s] + 1, out=cell)
         cell -= lo2[s]
         cell >>= shift_k[s]
         cell += np.int64(s * nc2)
-        pk = packed[cell]
-        res[a:b] = pk
+        pk = res[a:b]
+        # Cells are in range by construction; ``raise`` mode would buffer.
+        np.take(packed, cell, out=pk, mode="clip")
         neg = np.flatnonzero(pk < 0)
         if neg.size:
             enc = -(pk[neg] + 1)
             lo_w = enc >> wb
             base = np.int64(offsets[s])
-            res[a + neg] = _windowed_bisect(
+            pk[neg] = _windowed_bisect(
                 values, queries[a:b][neg], base + lo_w,
                 base + lo_w + (enc & wmask), right=right,
             ) - base
+    ws.recycle(cell_buf)
     return res
 
 
@@ -810,19 +830,66 @@ def gather_numpy(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return values[indices]
 
 
+#: Mean run length (elements) from which :func:`copy_ranges` copies runs
+#: slice by slice instead of building an index plane over them.  On 8M
+#: int64 elements in shuffled runs the two break even at a mean of about
+#: 256 (2 cores, numpy 2.4): 58 vs 61 ms there, 31 vs 58 ms at 1024 and
+#: 288 vs 108 ms at 32.
+_RUN_COPY_MIN_MEAN = 256
+
+
+def copy_ranges(
+    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Write the ranges ``[starts[k], starts[k] + lengths[k])`` into ``out``.
+
+    ``out`` has exactly ``lengths.sum()`` entries and the ranges must be
+    valid (:func:`take_ranges` checks them).  Zero-length ranges are
+    dropped and adjacent ones (``starts[k+1] == starts[k] + lengths[k]``)
+    merged into runs first: delivery ranges are contiguous runs of the
+    piece plane almost everywhere, so a level's hundreds of thousands of
+    ranges collapse to a few hundred runs.  When the runs are long on
+    average they are copied slice by slice; otherwise one index plane over
+    the runs (a workspace scratch) feeds one gather.
+    """
+    keep = lengths > 0
+    if not keep.all():
+        starts = starts[keep]
+        lengths = lengths[keep]
+    if starts.size == 0:
+        return out
+    ends = starts + lengths
+    brk = np.flatnonzero(starts[1:] != ends[:-1])
+    run_start = np.concatenate((starts[:1], starts[brk + 1]))
+    run_len = np.concatenate((ends[brk], ends[-1:])) - run_start
+    if run_start.size * _RUN_COPY_MIN_MEAN <= out.shape[0]:
+        pos = 0
+        for a, n in zip(run_start.tolist(), run_len.tolist()):
+            out[pos:pos + n] = values[a:a + n]
+            pos += n
+        return out
+    ws = get_arena()
+    idx = concat_ranges(run_start, run_len, arena=ws)
+    # In-range by contract, so ``clip`` costs nothing; the default
+    # ``raise`` mode would buffer the whole output once more.
+    np.take(values, idx, axis=0, out=out, mode="clip")
+    ws.recycle(idx)
+    return out
+
+
 def take_ranges_numpy(
     values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
     """Reference implementation of :func:`take_ranges`.
 
-    The index plane is a pure scratch (only the gather escapes), so it
-    lives in the workspace arena for the duration of the call.
+    Always a fresh array, never a view of ``values``: callers recycle the
+    buffers they pass in.  The ranges are copied by :func:`copy_ranges`.
     """
-    ws = get_arena()
-    idx = concat_ranges(starts, lengths, arena=ws)
-    out = values[idx]
-    ws.recycle(idx)
-    return out
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    out = np.empty((int(lengths.sum()),) + values.shape[1:], dtype=values.dtype)
+    return copy_ranges(values, starts, lengths, out)
 
 
 # ----------------------------------------------------------------------
@@ -946,8 +1013,25 @@ def take_ranges(
     """``values[concat_ranges(starts, lengths)]`` through the active backend.
 
     The gather half of exchange assembly: concatenates the value ranges
-    ``[starts[k], starts[k] + lengths[k])`` back to back.
+    ``[starts[k], starts[k] + lengths[k])`` back to back into a fresh
+    array.  Every range must lie inside ``values``: a negative start or
+    length raises ``ValueError`` and a range past the end ``IndexError``,
+    checked here once so every backend rejects the same inputs.
     """
+    values = np.asarray(values)
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if starts.shape != lengths.shape or starts.ndim != 1:
+        raise ValueError(
+            "take_ranges: starts and lengths must be equal-length 1-D arrays"
+        )
+    if starts.size:
+        if int(starts.min()) < 0:
+            raise ValueError("take_ranges: negative range start")
+        if int(lengths.min()) < 0:
+            raise ValueError("take_ranges: negative range length")
+        if int((starts + lengths).max()) > values.shape[0]:
+            raise IndexError("take_ranges: range runs past the end of values")
     return _active_backend().take_ranges(values, starts, lengths)
 
 

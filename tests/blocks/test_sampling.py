@@ -1,5 +1,7 @@
 """Tests for :mod:`repro.blocks.sampling`."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from repro.blocks.sampling import (
     default_oversampling,
     draw_local_sample,
     draw_samples,
+    draw_samples_flat,
     splitter_ranks,
 )
+from repro.dist.array import DistArray
 from repro.dist.ctr_rng import CounterRNG
 
 
@@ -94,6 +98,49 @@ class TestDrawSamples:
         with pytest.raises(ValueError):
             draw_samples([np.arange(5)], params, p=2, r=2,
                          rng=CounterRNG(0), level=0, pes=np.arange(2))
+
+
+#: (segment sizes, per-segment counts, sha256 of the drawn offsets + values).
+#: The digests pin which elements are sampled: a change that moves any
+#: sample must bump ``campaign.RNG_VERSION`` and regenerate the goldens.
+PINNED_DRAWS = {
+    # Empty segments (one with a non-zero count), unequal sizes, counts not
+    # a multiple of 4: per-draw sizes differ and the block words are gathered.
+    "ragged": (
+        [0, 1, 2, 3, 5, 7, 0, 1000, 13, 4, 97, 0, 31],
+        [3, 5, 1, 0, 6, 9, 4, 11, 2, 7, 13, 5, 10],
+        "f5a5b25290e942bc95eb60f1d740bb1110545ba5025d06af577e2387c9a829e1",
+    ),
+    # Equal sizes: one scalar modulus for every draw.
+    "equal_sizes": (
+        [50] * 9,
+        [6, 1, 7, 3, 5, 2, 9, 0, 11],
+        "a615947a8e75e54f134c43e8f42f18a1f08ba1f1c070714d92716b88da1edc08",
+    ),
+    # Every count a multiple of 4: the block words are used in order.
+    "whole_blocks": (
+        [3, 0, 64, 17, 1, 250],
+        [4, 8, 12, 4, 16, 8],
+        "dd062898a47c5c2c368bd454aec667ea0a1c7a2d014953badbcceb0ebf119205",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DRAWS))
+def test_draw_samples_flat_bytes_are_pinned(case):
+    sizes, counts, digest = PINNED_DRAWS[case]
+    sizes = np.asarray(sizes, dtype=np.int64)
+    values = np.random.default_rng(2015).integers(
+        -(2 ** 62), 2 ** 62, int(sizes.sum())
+    )
+    out = draw_samples_flat(
+        DistArray.from_sizes(values, sizes), np.asarray(counts),
+        CounterRNG(12345), 2, np.arange(sizes.size) * 3 + 1,
+    )
+    got = hashlib.sha256(
+        out.offsets.astype(np.int64).tobytes() + out.values.tobytes()
+    ).hexdigest()
+    assert got == digest
 
 
 class TestSplitterRanks:

@@ -225,6 +225,18 @@ class TestKernelOracles:
         got = sharded.take_ranges(values, starts, lengths)
         assert_identical(expect, got, "take_ranges")
 
+    def test_take_ranges_coalesced_runs(self, sharded):
+        """Adjacent runs long enough for the slice copy, zero-length ranges
+        between them, a reversed block and overlaps, sharded over workers."""
+        values = np.arange(20_000, dtype=np.int64) * 3
+        cuts = np.array([0, 700, 700, 4000, 9000, 9000, 12_500], dtype=np.int64)
+        starts = np.concatenate([cuts[:-1], [15_000, 14_000, 13_000, 0, 19_999]])
+        lengths = np.concatenate([np.diff(cuts), [1000, 1000, 1000, 20_000, 1]])
+        expect = values[flatops.concat_ranges(starts, lengths)]
+        for backend in (REFERENCE, sharded):
+            got = backend.take_ranges(values, starts, lengths)
+            assert_identical(expect, got, "take_ranges")
+
     def test_forced_backend_really_shards(self, sharded):
         """Large calls must actually hit the worker pool, not the fallback."""
         rng = np.random.default_rng(7)
@@ -389,3 +401,35 @@ class TestBackendSelection:
         run_on_machine(machine, data, algorithm="ams",
                        config=AMSConfig(node_size=2))
         assert machine.backend_used == "sharedmem"
+
+
+# ---------------------------------------------------------------------------
+# take_ranges input validation: one check in the dispatcher, so every
+# backend rejects the same ranges with the same message.
+# ---------------------------------------------------------------------------
+BAD_RANGES = [
+    ([-3], [2], ValueError, "take_ranges: negative range start"),
+    ([2, 5], [-1, 2], ValueError, "take_ranges: negative range length"),
+    ([8], [5], IndexError, "take_ranges: range runs past the end of values"),
+    ([0, 11], [3, 0], IndexError, "take_ranges: range runs past the end of values"),
+    ([[1]], [[2]], ValueError, "take_ranges: starts and lengths must be"),
+    ([1, 2], [1], ValueError, "take_ranges: starts and lengths must be"),
+]
+
+
+@pytest.mark.parametrize("which", ["numpy", "sharedmem"])
+@pytest.mark.parametrize("starts,lengths,error,message", BAD_RANGES)
+def test_take_ranges_rejects_bad_ranges(sharded, which, starts, lengths,
+                                        error, message):
+    backend = REFERENCE if which == "numpy" else sharded
+    with use_backend(backend):
+        with pytest.raises(error, match=message):
+            flatops.take_ranges(np.arange(10), starts, lengths)
+
+
+@pytest.mark.parametrize("which", ["numpy", "sharedmem"])
+def test_take_ranges_accepts_ranges_up_to_the_end(sharded, which):
+    backend = REFERENCE if which == "numpy" else sharded
+    with use_backend(backend):
+        got = flatops.take_ranges(np.arange(10), [7, 10, 0], [3, 0, 2])
+    assert np.array_equal(got, [7, 8, 9, 0, 1])

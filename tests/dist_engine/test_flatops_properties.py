@@ -8,9 +8,13 @@ lockstep engine is nothing but compositions of these kernels, so pinning
 them here pins the engine's data plane independently of the simulator.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dist import flatops
 from repro.dist.flatops import (
     blockwise_searchsorted,
     concat_ranges,
@@ -22,6 +26,7 @@ from repro.dist.flatops import (
     split_intervals,
     stable_key_argsort,
     stable_two_key_argsort,
+    take_ranges,
 )
 
 # ----------------------------------------------------------------------
@@ -58,6 +63,135 @@ class TestConcatRanges:
             [np.empty(0, dtype=np.int64)]
         )
         assert np.array_equal(concat_ranges(starts, lengths), expected)
+
+
+@st.composite
+def range_sets(draw):
+    """A buffer length and ranges inside it, built from groups of ranges:
+    adjacent (coalescible) runs with zero-length ones interleaved, the
+    same runs reversed, one run covering the whole buffer, and random
+    (overlapping, repeated) ranges."""
+    n = draw(st.integers(0, 700))
+    starts, lengths = [], []
+    for kind in draw(st.lists(
+        st.sampled_from(["adjacent", "reversed", "whole", "random"]),
+        max_size=5,
+    )):
+        if kind == "whole":
+            starts.append(0)
+            lengths.append(n)
+            continue
+        if kind == "random":
+            for _ in range(draw(st.integers(1, 6))):
+                a = draw(st.integers(0, n))
+                starts.append(a)
+                lengths.append(draw(st.integers(0, n - a)))
+            continue
+        a = draw(st.integers(0, n))
+        b = draw(st.integers(a, n))
+        cuts = sorted(draw(st.lists(st.integers(a, b), max_size=6)))
+        points = [a] + cuts + [b]  # repeated cuts give zero-length ranges
+        pieces = list(zip(points[:-1], np.diff(points).tolist()))
+        if kind == "reversed":
+            pieces.reverse()
+        starts.extend(start for start, _ in pieces)
+        lengths.extend(length for _, length in pieces)
+    return (n, np.asarray(starts, dtype=np.int64),
+            np.asarray(lengths, dtype=np.int64))
+
+
+class TestTakeRanges:
+    """``take_ranges`` against ``values[concat_ranges(...)]`` on both copy
+    paths: run-by-run slices (cutoff 1), one index plane (cutoff 2**62)
+    and the default choice between them."""
+
+    @pytest.mark.parametrize("cutoff", [1, flatops._RUN_COPY_MIN_MEAN, 2 ** 62])
+    @given(range_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_concat_ranges_gather(self, cutoff, case):
+        n, starts, lengths = case
+        values = np.arange(n, dtype=np.int64) * 7 - 3
+        before = values.copy()
+        with mock.patch.object(flatops, "_RUN_COPY_MIN_MEAN", cutoff):
+            got = take_ranges(values, starts, lengths)
+        expected = values[concat_ranges(starts, lengths)]
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        # A fresh array: writing into it must not reach the source buffer.
+        got[...] = -1
+        assert np.array_equal(values, before)
+
+
+def _search_case(data):
+    """A CSR layout of sorted boundaries plus >= 4096 grouped queries."""
+    nseg = data.draw(st.integers(2, 48))
+    regime = data.draw(st.sampled_from(
+        ["duplicates", "cell_edges", "near_max", "near_min", "straddle"]
+    ))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    sizes = rng.integers(0, 40, nseg)
+    sizes[rng.random(nseg) < 0.25] = 0  # empty segments
+    sizes[rng.integers(nseg)] += 1
+    segs = []
+    for size in sizes.tolist():
+        if regime == "duplicates":
+            seg = rng.integers(0, 16, size)
+        elif regime == "cell_edges":
+            # Multiples of 2**t (minus 0 or 1) off one base: boundaries on a
+            # cell's lowest and highest value, whatever the cell shift.
+            t = int(rng.integers(1, 21))
+            base = int(rng.integers(-(2 ** 40), 2 ** 40))
+            seg = base + rng.integers(0, 64, size) * 2 ** t - rng.integers(0, 2, size)
+        else:
+            near_max = regime == "near_max" or (
+                regime == "straddle" and rng.random() < 0.5
+            )
+            span = rng.integers(0, 2 ** int(rng.integers(1, 61)), size)
+            seg = (2 ** 62 - 1) - span if near_max else -(2 ** 62) + 1 + span
+        segs.append(np.sort(np.asarray(seg, dtype=np.int64)))
+    values = np.concatenate(segs)
+    offsets = _layout(sizes.tolist())
+    qcounts = rng.integers(0, 2 * 4096 // nseg + 1, nseg)
+    qcounts[rng.random(nseg) < 0.25] = 0  # empty query blocks
+    qcounts[rng.integers(nseg)] += max(0, 4096 - int(qcounts.sum()))
+    nq = int(qcounts.sum())
+    lo, hi = int(values.min()), int(values.max())
+    queries = rng.integers(lo - 3, hi + 4, nq, dtype=np.int64)
+    on_boundary = rng.random(nq) < 0.4
+    queries[on_boundary] = rng.choice(values, int(on_boundary.sum())) + \
+        rng.integers(-1, 2, int(on_boundary.sum()))
+    return regime, values, offsets, queries, _layout(qcounts.tolist())
+
+
+class TestBatchedRadixSearch:
+    """The batched radix-table search (``_bucketize_batched``), which
+    :func:`blockwise_searchsorted` only takes from 4096 queries on, against
+    per-segment ``np.searchsorted``."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_segment_searchsorted(self, data):
+        regime, values, offsets, queries, q_offsets = _search_case(data)
+        for side in ("left", "right"):
+            expected = np.concatenate([
+                np.searchsorted(values[offsets[s]:offsets[s + 1]],
+                                queries[q_offsets[s]:q_offsets[s + 1]], side=side)
+                for s in range(offsets.size - 1)
+            ]).astype(np.int64)
+            got = flatops._bucketize_batched(
+                values, offsets, queries, q_offsets, side
+            )
+            # Keys straddling both ends overflow the cell arithmetic and
+            # fall back; every other regime must take the batched path.
+            if regime != "straddle":
+                assert got is not None
+            if got is not None:
+                assert np.array_equal(got, expected)
+            assert np.array_equal(
+                blockwise_searchsorted(values, offsets, queries, q_offsets,
+                                       side=side),
+                expected,
+            )
 
 
 class TestStableArgsorts:
