@@ -840,30 +840,32 @@ _RUN_COPY_MIN_MEAN = 256
 
 def copy_ranges(
     values: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-    out: np.ndarray,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Write the ranges ``[starts[k], starts[k] + lengths[k])`` into ``out``.
+    """Concatenate the ranges ``[starts[k], starts[k] + lengths[k])``.
 
-    ``out`` has exactly ``lengths.sum()`` entries and the ranges must be
-    valid (:func:`take_ranges` checks them).  Zero-length ranges are
-    dropped and adjacent ones (``starts[k+1] == starts[k] + lengths[k]``)
-    merged into runs first: delivery ranges are contiguous runs of the
-    piece plane almost everywhere, so a level's hundreds of thousands of
-    ranges collapse to a few hundred runs.  When the runs are long on
-    average they are copied slice by slice; otherwise one index plane over
-    the runs (a workspace scratch) feeds one gather.
+    The ranges must be valid (:func:`take_ranges` checks them).  They are
+    written into ``out`` (exactly ``lengths.sum()`` entries) or, without
+    it, into a fresh array that never aliases ``values``.  Zero-length
+    ranges are dropped and adjacent ones (``starts[k+1] == starts[k] +
+    lengths[k]``) merged into runs first: delivery ranges are contiguous
+    runs of the piece plane almost everywhere, so a level's hundreds of
+    thousands of ranges collapse to a few hundred runs.  When the runs are
+    long on average they are copied slice by slice; otherwise one index
+    plane over the runs (a workspace scratch) feeds one gather.
     """
     keep = lengths > 0
     if not keep.all():
         starts = starts[keep]
         lengths = lengths[keep]
-    if starts.size == 0:
-        return out
     ends = starts + lengths
     brk = np.flatnonzero(starts[1:] != ends[:-1])
     run_start = np.concatenate((starts[:1], starts[brk + 1]))
     run_len = np.concatenate((ends[brk], ends[-1:])) - run_start
-    if run_start.size * _RUN_COPY_MIN_MEAN <= out.shape[0]:
+    total = int(run_len.sum())
+    if run_start.size * _RUN_COPY_MIN_MEAN <= total:
+        if out is None:
+            out = np.empty((total,) + values.shape[1:], dtype=values.dtype)
         pos = 0
         for a, n in zip(run_start.tolist(), run_len.tolist()):
             out[pos:pos + n] = values[a:a + n]
@@ -873,7 +875,7 @@ def copy_ranges(
     idx = concat_ranges(run_start, run_len, arena=ws)
     # In-range by contract, so ``clip`` costs nothing; the default
     # ``raise`` mode would buffer the whole output once more.
-    np.take(values, idx, axis=0, out=out, mode="clip")
+    out = np.take(values, idx, axis=0, out=out, mode="clip")
     ws.recycle(idx)
     return out
 
@@ -886,10 +888,10 @@ def take_ranges_numpy(
     Always a fresh array, never a view of ``values``: callers recycle the
     buffers they pass in.  The ranges are copied by :func:`copy_ranges`.
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    out = np.empty((int(lengths.sum()),) + values.shape[1:], dtype=values.dtype)
-    return copy_ranges(values, starts, lengths, out)
+    return copy_ranges(
+        values, np.asarray(starts, dtype=np.int64),
+        np.asarray(lengths, dtype=np.int64),
+    )
 
 
 # ----------------------------------------------------------------------
