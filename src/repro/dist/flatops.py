@@ -873,8 +873,8 @@ def copy_ranges(
         return out
     ws = get_arena()
     idx = concat_ranges(run_start, run_len, arena=ws)
-    # In-range by contract, so ``clip`` costs nothing; the default
-    # ``raise`` mode would buffer the whole output once more.
+    # In-range by contract, so ``clip`` changes nothing; with ``out`` the
+    # default ``raise`` mode would buffer the whole output once more.
     out = np.take(values, idx, axis=0, out=out, mode="clip")
     ws.recycle(idx)
     return out
